@@ -1478,9 +1478,20 @@ func (c *Cluster) seriesTick(now sim.Time) {
 // Submit enqueues one request and runs the scheduler; the live gateway
 // path. The request's Arrival must be set by the caller (gateway receipt
 // time).
+//
+// Live callers read the clock before they reach c.mu, so two of them can
+// get here in the opposite order of their stamps. The lock is the queue's
+// real order: on an external clock a stamp older than the queue tail's is
+// moved up to it (microseconds of skew) instead of failing the invoke.
+// Simulated replay keeps the scheduler's strict check.
 func (c *Cluster) Submit(req *core.Request) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.engine == nil {
+		if tail, ok := c.sched.TailArrival(); ok && req.Arrival < tail {
+			req.Arrival = tail
+		}
+	}
 	if err := c.sched.Enqueue(req); err != nil {
 		return err
 	}

@@ -245,12 +245,13 @@ func TestSubmitLiveMode(t *testing.T) {
 	}
 }
 
-func TestSubmitOutOfOrderArrivalRejected(t *testing.T) {
-	// Saturate all 12 GPUs (LB dispatches the first 12, the 13th waits in
-	// the global queue) and then submit a request with an earlier arrival:
-	// Submit must propagate the scheduler's ordering error.
+// saturatedCluster returns a cluster on the given clock (nil: simulated)
+// whose 12 GPUs are busy (LB dispatches the first 12 submits) and whose
+// global queue holds a 13th request stamped 1 s.
+func saturatedCluster(t *testing.T, clock sim.Clock) *Cluster {
+	t.Helper()
 	cfg := testConfig(core.LB)
-	cfg.Clock = sim.NewRealClock()
+	cfg.Clock = clock
 	zoo := models.Default()
 	cfg.Zoo = zoo
 	prof := models.NewProfileStore()
@@ -276,8 +277,34 @@ func TestSubmitOutOfOrderArrivalRejected(t *testing.T) {
 	if c.Scheduler().GlobalQueueLen() == 0 {
 		t.Skip("cluster drained faster than expected; ordering path covered in core tests")
 	}
-	if err := c.Submit(&core.Request{ID: 99, Model: "resnet18", BatchSize: 32, Arrival: 0}); err == nil {
-		t.Error("out-of-order Submit should fail")
+	return c
+}
+
+// A live caller that read the clock first but took the cluster lock second
+// submits a stamp older than the queue tail's. On an external clock Submit
+// moves the stamp up to the tail's rather than fail the invoke; on the
+// simulated clock the scheduler's ordering error still propagates.
+func TestSubmitOutOfOrderArrival(t *testing.T) {
+	c := saturatedCluster(t, sim.NewRealClock())
+	queued := c.Scheduler().GlobalQueueLen()
+	late := &core.Request{ID: 99, Model: "resnet18", BatchSize: 32, Arrival: 0}
+	if err := c.Submit(late); err != nil {
+		t.Fatalf("out-of-order live Submit: %v", err)
+	}
+	if late.Arrival != sim.Time(time.Second) {
+		t.Errorf("Arrival = %v, want the queue tail's %v", late.Arrival, sim.Time(time.Second))
+	}
+	if got := c.Scheduler().GlobalQueueLen(); got != queued+1 {
+		t.Errorf("global queue = %d, want %d", got, queued+1)
+	}
+	next := &core.Request{ID: 100, Model: "resnet18", BatchSize: 32, Arrival: sim.Time(2 * time.Second)}
+	if err := c.Submit(next); err != nil || next.Arrival != sim.Time(2*time.Second) {
+		t.Errorf("in-order Submit: err %v, Arrival %v (must not move)", err, next.Arrival)
+	}
+
+	simulated := saturatedCluster(t, nil)
+	if err := simulated.Submit(&core.Request{ID: 99, Model: "resnet18", BatchSize: 32, Arrival: 0}); err == nil {
+		t.Error("out-of-order Submit on the simulated clock should fail")
 	}
 }
 

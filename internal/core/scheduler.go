@@ -735,6 +735,15 @@ func (s *Scheduler) pruneIndex() {
 // queue.
 func (s *Scheduler) GlobalQueueLen() int { return s.global.len() }
 
+// TailArrival returns the arrival time of the global queue's tail, the
+// earliest stamp Enqueue accepts next; ok is false when it accepts any.
+func (s *Scheduler) TailArrival() (at sim.Time, ok bool) {
+	if last := s.global.last(); last != nil {
+		return last.Arrival, true
+	}
+	return 0, false
+}
+
 // LocalQueueLen returns the number of requests parked at the GPU.
 func (s *Scheduler) LocalQueueLen(gpuID string) int {
 	o, ok := s.backend.OrdOf(gpuID)

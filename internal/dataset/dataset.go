@@ -136,9 +136,21 @@ func ToTensor(imgs []Image, size int) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("dataset: non-positive size %d", size)
 	}
 	out := tensor.MustNew(len(imgs), 3, size, size)
+	if err := FillTensor(out.Data, imgs, size); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FillTensor is ToTensor into memory the caller owns (a pooled input
+// buffer): dst must hold len(imgs)*3*size*size floats and is overwritten.
+func FillTensor(dst []float32, imgs []Image, size int) error {
+	if size <= 0 || len(dst) != len(imgs)*3*size*size {
+		return fmt.Errorf("dataset: %d floats for %d images at size %d", len(dst), len(imgs), size)
+	}
 	for n, im := range imgs {
-		if im.Width <= 0 || im.Height <= 0 || len(im.Pixels) != im.Width*im.Height*im.Channels {
-			return nil, fmt.Errorf("dataset: malformed image %d", n)
+		if im.Width <= 0 || im.Height <= 0 || im.Channels <= 0 || len(im.Pixels) != im.Width*im.Height*im.Channels {
+			return fmt.Errorf("dataset: malformed image %d", n)
 		}
 		for y := 0; y < size; y++ {
 			sy := y * im.Height / size
@@ -150,12 +162,12 @@ func ToTensor(imgs []Image, size int) (*tensor.Tensor, error) {
 						sc = im.Channels - 1 // replicate gray into RGB
 					}
 					px := im.Pixels[(sy*im.Width+sx)*im.Channels+sc]
-					out.Data[((n*3+c)*size+y)*size+x] = float32(px) / 256
+					dst[((n*3+c)*size+y)*size+x] = float32(px) / 256
 				}
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Batch selects a batch of images round-robin from a pool starting at

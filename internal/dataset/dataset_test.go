@@ -142,6 +142,52 @@ func TestToTensorErrors(t *testing.T) {
 	}
 }
 
+// FillTensor is ToTensor without the allocation: same values into a dirty
+// caller-owned buffer, nothing allocated, wrong sizes rejected.
+func TestFillTensor(t *testing.T) {
+	var imgs []Image
+	for _, k := range []Kind{MNIST, CIFAR10, Hymenoptera} {
+		one, err := Generate(k, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs = append(imgs, one...)
+	}
+	want, err := ToTensor(imgs, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float32, len(want.Data))
+	for i := range dst {
+		dst[i] = -1
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := FillTensor(dst, imgs, 32); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FillTensor allocates %v objects, want 0", n)
+	}
+	for i, v := range want.Data {
+		if dst[i] != v {
+			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], v)
+		}
+	}
+	if err := FillTensor(dst[1:], imgs, 32); err == nil {
+		t.Error("short destination should fail")
+	}
+	if err := FillTensor(dst, imgs[:2], 32); err == nil {
+		t.Error("long destination should fail")
+	}
+	if err := FillTensor(nil, nil, 32); err != nil {
+		t.Errorf("empty batch into empty buffer: %v", err)
+	}
+	noChannels := Image{Width: 2, Height: 2}
+	if err := FillTensor(make([]float32, 3*32*32), []Image{noChannels}, 32); err == nil {
+		t.Error("zero-channel image should fail")
+	}
+}
+
 func TestBatchWraps(t *testing.T) {
 	pool, _ := Generate(CIFAR10, 3, 1)
 	b, err := Batch(pool, 2, 4)

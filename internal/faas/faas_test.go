@@ -155,6 +155,33 @@ func TestEndToEndInference(t *testing.T) {
 	}
 }
 
+// The inference reply's wire form is exactly these keys. Body is the
+// reply, not a member of it: untagged, it marshals into itself as
+// "Body":null.
+func TestInferenceReplyKeys(t *testing.T) {
+	g := testGateway(t)
+	if _, err := g.Deploy(FunctionSpec{Name: "classify", GPUEnabled: true, Model: "resnet18", BatchSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := g.Invoke("classify", InvokeRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply map[string]json.RawMessage
+	if err := json.Unmarshal(resp.Body, &reply); err != nil {
+		t.Fatalf("reply %q: %v", resp.Body, err)
+	}
+	want := []string{"gpu", "hit", "inferTime", "loadTime", "predictions", "queueWait", "totalLatency"}
+	if len(reply) != len(want) {
+		t.Errorf("reply keys = %d, want %d: %s", len(reply), len(want), resp.Body)
+	}
+	for _, k := range want {
+		if _, ok := reply[k]; !ok {
+			t.Errorf("reply lacks %q: %s", k, resp.Body)
+		}
+	}
+}
+
 func TestEchoFunction(t *testing.T) {
 	g := testGateway(t)
 	if _, err := g.Deploy(FunctionSpec{Name: "echoer"}); err != nil {

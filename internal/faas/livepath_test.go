@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -441,6 +442,88 @@ func TestGatewayInvokeAllocs(t *testing.T) {
 	const maxAllocs = 8
 	if avg > maxAllocs {
 		t.Errorf("echo invoke allocs/op = %.1f, want <= %d", avg, maxAllocs)
+	}
+}
+
+// TestInferenceHandlerAllocs pins what the CPU side of an inference invoke
+// leaves on the heap once the function is warm: the default image batch,
+// the []int of classes and the JSON reply — no float32 buffer. One input
+// tensor is 12 kB and one pass's activations 200 kB, so the bound is on
+// bytes as well as objects.
+func TestInferenceHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	w := NewWatchdog(FunctionSpec{Name: "cpu", Handler: HandlerInference, Model: "resnet18", BatchSize: 1}, nil, nil, nil)
+	invoke := func() {
+		resp, err := w.handleInference(InvokeRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Predictions) != 1 {
+			t.Fatalf("predictions = %v", resp.Predictions)
+		}
+	}
+	// One P, as testing.AllocsPerRun arranges: a sync.Pool keeps a slot per
+	// P, so a goroutine that migrates mid-measurement finds its pools empty.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	invoke() // builds the network, sizes its workspace, fills the input pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		invoke()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if objects > 10 || bytes > 1024 {
+		t.Errorf("inference handler allocates %.1f objects / %.0f B per invoke, want <= 10 / 1024", objects, bytes)
+	}
+}
+
+// TestConcurrentPredictNeverOutOfOrder: Predict stamps the arrival before
+// taking the client lock and submits after releasing it, so concurrent
+// callers reach the scheduler in a different order than their stamps.
+// Without Cluster.Submit's clamp that is "core: out-of-order enqueue" — a
+// failed invoke the caller did nothing to deserve (16 callers on 8 GPUs
+// keep the global queue non-empty, which is when the check bites). Every
+// Predict must succeed, answer for the model asked, and leave the arena
+// empty.
+func TestConcurrentPredictNeverOutOfOrder(t *testing.T) {
+	g, err := NewGateway(GatewayConfig{Nodes: 1, GPUsPerNode: 8, Policy: "LALBO3", TimeScale: 1e-4, InvokeTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []FunctionSpec{
+		{Name: "a", Model: "squeezenet1.1"}, {Name: "b", Model: "resnet18"},
+		{Name: "c", Model: "resnet34"}, {Name: "d", Model: "alexnet"},
+	}
+	const callers, each = 16, 2000
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		go func() {
+			for i := 0; i < each; i++ {
+				spec := specs[(c+i)%len(specs)]
+				res, err := g.infer.Predict(spec, 1)
+				if err == nil && res.Model != spec.Model {
+					err = fmt.Errorf("predict for %s answered for %s", spec.Model, res.Model)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("caller %d, predict %d: %w", c, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < callers; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if st := g.ArenaStats(); st.Live != 0 {
+		t.Errorf("arena Live = %d after every Predict returned, want 0", st.Live)
 	}
 }
 

@@ -39,8 +39,8 @@ type InvokeRequest struct {
 // InvokeResponse is a function's result.
 type InvokeResponse struct {
 	// Body is the raw response (echo) or JSON-encoded predictions
-	// (inference).
-	Body []byte
+	// (inference). It is the wire reply itself, never a field of it.
+	Body []byte `json:"-"`
 	// Predictions are the per-input class indices (inference only).
 	Predictions []int `json:"predictions,omitempty"`
 	// GPU, Hit and timings describe the GPU execution (inference only).
@@ -66,6 +66,7 @@ type Watchdog struct {
 	netOnce sync.Once
 	net     *nn.Network
 	netErr  error
+	inputs  sync.Pool // *tensor.Tensor network inputs, resident between invocations
 }
 
 // NewWatchdog builds a watchdog for a function. infer may be nil for
@@ -159,15 +160,16 @@ func (w *Watchdog) handleInference(req InvokeRequest) (InvokeResponse, error) {
 			return InvokeResponse{}, err
 		}
 	}
-	x, err := dataset.ToTensor(imgs, nn.InputSize)
-	if err != nil {
+	x := w.input(len(imgs))
+	defer w.inputs.Put(x)
+	if err := dataset.FillTensor(x.Data, imgs, nn.InputSize); err != nil {
 		return InvokeResponse{}, err
 	}
 
 	var gpuRes gpumgr.Result
 	if w.spec.GPUEnabled {
-		gpuRes, err = w.infer.Predict(w.spec, len(imgs))
-		if err != nil {
+		var err error
+		if gpuRes, err = w.infer.Predict(w.spec, len(imgs)); err != nil {
 			return InvokeResponse{}, err
 		}
 	}
@@ -188,6 +190,15 @@ func (w *Watchdog) handleInference(req InvokeRequest) (InvokeResponse, error) {
 	}
 	resp.Body, err = json.Marshal(resp)
 	return resp, err
+}
+
+// input returns a network input tensor for a batch of n, reusing a pooled
+// one when the batch size matches (a function's batch size rarely changes).
+func (w *Watchdog) input(n int) *tensor.Tensor {
+	if x, _ := w.inputs.Get().(*tensor.Tensor); x != nil && x.Shape[0] == n {
+		return x
+	}
+	return tensor.MustNew(n, 3, nn.InputSize, nn.InputSize)
 }
 
 // predictCPU lazily builds the scaled network and runs the forward pass.
@@ -238,8 +249,12 @@ func seedFor(model string) int64 {
 // completion or drop routes back — the GPU manager copies every request
 // field into the Result at dispatch, so nothing references the object
 // after that), and the per-call outcome channels and timeout timers
-// recycle through sync.Pools. In steady state a Predict allocates
-// nothing.
+// recycle through sync.Pools. In steady state the client itself adds no
+// allocation to a Predict; the ~8 objects the benchmark counts per call
+// (faas.predict_allocs on live-predict) come from the launch path under it
+// — Cluster.Submit's scheduling round, the GPU manager's launch and its
+// completion timer (cluster.submit_allocs ≈ 9) — which is the next layer
+// to attack.
 type InferenceClient struct {
 	cells   []*cluster.Cluster
 	router  *multicell.Router // nil: everything goes to cells[0]

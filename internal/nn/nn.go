@@ -10,13 +10,22 @@
 // SqueezeNets, plain deep stacks for VGG/AlexNet, parallel branches for
 // Inception). Weights are deterministic pseudo-random: the goal is
 // realistic compute and dataflow, not trained accuracy.
+//
+// A Network is resident the way the paper's cached GPU process is: the
+// weights are built once and every forward pass runs inside a pooled
+// workspace, so a steady-state Predict allocates only its result. Images
+// are independent, so a batch is split by image across up to GOMAXPROCS
+// goroutines, each with its own workspace; a batch of one — every gateway
+// invoke — runs inline on the caller's goroutine.
 package nn
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 
 	"gpufaas/internal/tensor"
 )
@@ -27,48 +36,147 @@ const NumClasses = 10
 // InputSize is the expected spatial input (32x32 RGB).
 const InputSize = 32
 
+// act is one image's activation: c planes of h×w (1×1 after a dense
+// layer). The data belongs to the workspace that produced it.
+type act struct {
+	data    []float32
+	c, h, w int
+}
+
+// workspace holds what one in-flight image needs besides the weights.
+// Activations are bump-allocated from arena and all freed at once by
+// reset; a request the arena cannot hold goes to the heap and is counted,
+// so the first image through a fresh workspace sizes the arena for every
+// later one.
+type workspace struct {
+	arena   []float32
+	off     int       // floats handed out since reset, spills included
+	scratch []float32 // Conv2DInto's zero-padded input copy
+}
+
+func (ws *workspace) alloc(c, h, w int) act {
+	lo, n := ws.off, c*h*w
+	ws.off += n
+	if ws.off > len(ws.arena) {
+		return act{make([]float32, n), c, h, w}
+	}
+	return act{ws.arena[lo:ws.off:ws.off], c, h, w}
+}
+
+func (ws *workspace) reset() {
+	if ws.off > len(ws.arena) {
+		ws.arena = make([]float32, ws.off)
+	}
+	ws.off = 0
+}
+
 // Layer is one step of a forward pass.
 type Layer interface {
-	// Forward consumes the previous activation and returns the next.
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
+	// forward consumes one image's activation and returns the next,
+	// allocated from ws.
+	forward(ws *workspace, x act) (act, error)
 	// Params returns the number of learnable parameters.
 	Params() int64
 	// Name identifies the layer for inspection.
 	Name() string
 }
 
-// Network is an executable sequence of layers.
+// Network is an executable sequence of layers. It is safe for concurrent
+// use and must not be copied.
 type Network struct {
-	Arch   string
-	Layers []Layer
+	Arch       string
+	Layers     []Layer
+	workspaces sync.Pool // *workspace
 }
 
 // Forward runs the network on a [N,3,32,32] input, returning logits
 // [N, NumClasses].
 func (n *Network) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Dims() != 4 || x.Shape[1] != 3 || x.Shape[2] != InputSize || x.Shape[3] != InputSize {
-		return nil, fmt.Errorf("nn: input must be [N,3,%d,%d], got %v", InputSize, InputSize, x.Shape)
-	}
-	var err error
-	for _, l := range n.Layers {
-		if x, err = l.Forward(x); err != nil {
-			return nil, fmt.Errorf("nn: %s/%s: %w", n.Arch, l.Name(), err)
-		}
-	}
-	return x, nil
+	logits, _, err := n.run(x, false)
+	return logits, err
 }
 
 // Predict runs Forward then softmax+argmax, returning the class per input.
 func (n *Network) Predict(x *tensor.Tensor) ([]int, error) {
-	logits, err := n.Forward(x)
-	if err != nil {
-		return nil, err
+	_, classes, err := n.run(x, true)
+	return classes, err
+}
+
+// run pushes every image of x through the layers and returns the logits
+// or, if predict is set, the classes instead.
+func (n *Network) run(x *tensor.Tensor, predict bool) (logits *tensor.Tensor, classes []int, err error) {
+	if x.Dims() != 4 || x.Shape[1] != 3 || x.Shape[2] != InputSize || x.Shape[3] != InputSize {
+		return nil, nil, fmt.Errorf("nn: input must be [N,3,%d,%d], got %v", InputSize, InputSize, x.Shape)
 	}
-	probs, err := tensor.Softmax(logits)
-	if err != nil {
-		return nil, err
+	batch := x.Shape[0]
+	var out []float32
+	if predict {
+		classes = make([]int, batch)
+	} else {
+		logits = tensor.MustNew(batch, NumClasses)
+		out = logits.Data
 	}
-	return tensor.Argmax(probs)
+	if err := n.runBatch(x.Data, batch, out, classes); err != nil {
+		return nil, nil, err
+	}
+	return logits, classes, nil
+}
+
+// runBatch splits the batch by image over up to GOMAXPROCS goroutines; a
+// single image runs inline, with no fork to pay for.
+func (n *Network) runBatch(data []float32, batch int, logits []float32, classes []int) error {
+	workers := min(runtime.GOMAXPROCS(0), batch)
+	if workers <= 1 {
+		return n.runImages(data, 0, batch, logits, classes)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = n.runImages(data, w*batch/workers, (w+1)*batch/workers, logits, classes)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// runImages runs images [lo, hi) on the calling goroutine and stores image
+// i's logits in logits[i*NumClasses:] or, when classes is non-nil, its
+// class in classes[i]. Its workspace goes back to the pool before it
+// returns: only those copied-out results outlive the call.
+func (n *Network) runImages(data []float32, lo, hi int, logits []float32, classes []int) error {
+	ws, _ := n.workspaces.Get().(*workspace)
+	if ws == nil {
+		ws = new(workspace)
+	}
+	defer func() {
+		ws.reset()
+		n.workspaces.Put(ws)
+	}()
+	const in = 3 * InputSize * InputSize
+	for i := lo; i < hi; i++ {
+		ws.reset()
+		a := act{data[i*in : (i+1)*in], 3, InputSize, InputSize}
+		for _, l := range n.Layers {
+			var err error
+			if a, err = l.forward(ws, a); err != nil {
+				return fmt.Errorf("nn: %s/%s: %w", n.Arch, l.Name(), err)
+			}
+		}
+		if len(a.data) != NumClasses {
+			return fmt.Errorf("nn: %s ends in %d outputs, want %d", n.Arch, len(a.data), NumClasses)
+		}
+		if classes == nil {
+			copy(logits[i*NumClasses:], a.data)
+			continue
+		}
+		probs := ws.alloc(NumClasses, 1, 1).data
+		tensor.SoftmaxInto(probs, a.data)
+		classes[i] = tensor.ArgmaxRow(probs)
+	}
+	return nil
 }
 
 // Params returns the total learnable parameter count.
@@ -101,15 +209,26 @@ func newConv(name string, rng *rand.Rand, cin, cout, k, stride, pad int, relu bo
 	}
 }
 
-func (l *convLayer) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, err := tensor.Conv2D(x, l.w, l.b, l.stride, l.pad)
+func (l *convLayer) cout() int { return l.w.Shape[0] }
+
+func (l *convLayer) forward(ws *workspace, x act) (act, error) {
+	ho, wo, err := tensor.OutHW(x.h, x.w, l.w.Shape[2], l.w.Shape[3], l.stride, l.pad)
 	if err != nil {
-		return nil, err
+		return act{}, err
+	}
+	y := ws.alloc(l.cout(), ho, wo)
+	return y, l.into(ws, y.data, x)
+}
+
+// into runs the layer on x into dst, which must have the output's size.
+func (l *convLayer) into(ws *workspace, dst []float32, x act) error {
+	if err := tensor.Conv2DInto(dst, x.data, x.h, x.w, l.w, l.b, l.stride, l.pad, &ws.scratch); err != nil {
+		return err
 	}
 	if l.relu {
-		tensor.ReLU(y)
+		tensor.ReLUSlice(dst)
 	}
-	return y, nil
+	return nil
 }
 func (l *convLayer) Params() int64 { return l.paramCount }
 func (l *convLayer) Name() string  { return l.name }
@@ -119,17 +238,26 @@ type poolLayer struct {
 	k, stride int
 }
 
-func (l *poolLayer) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.MaxPool2D(x, l.k, l.stride)
+func (l *poolLayer) forward(ws *workspace, x act) (act, error) {
+	ho, wo, err := tensor.OutHW(x.h, x.w, l.k, l.k, l.stride, 0)
+	if err != nil {
+		return act{}, err
+	}
+	y := ws.alloc(x.c, ho, wo)
+	return y, tensor.MaxPool2DInto(y.data, x.data, x.h, x.w, l.k, l.stride)
 }
 func (l *poolLayer) Params() int64 { return 0 }
 func (l *poolLayer) Name() string  { return l.name }
 
 type gapLayer struct{}
 
-func (gapLayer) Forward(x *tensor.Tensor) (*tensor.Tensor, error) { return tensor.GlobalAvgPool(x) }
-func (gapLayer) Params() int64                                    { return 0 }
-func (gapLayer) Name() string                                     { return "gap" }
+func (gapLayer) forward(ws *workspace, x act) (act, error) {
+	y := ws.alloc(x.c, 1, 1)
+	tensor.GlobalAvgPoolInto(y.data, x.data)
+	return y, nil
+}
+func (gapLayer) Params() int64 { return 0 }
+func (gapLayer) Name() string  { return "gap" }
 
 type denseLayer struct {
 	name       string
@@ -145,19 +273,15 @@ func newDense(name string, rng *rand.Rand, in, out int, relu bool) *denseLayer {
 	return &denseLayer{name: name, w: w, b: b, relu: relu, paramCount: int64(out*in + out)}
 }
 
-func (l *denseLayer) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Dims() != 2 {
-		var err error
-		if x, err = tensor.Flatten(x); err != nil {
-			return nil, err
-		}
-	}
-	y, err := tensor.Dense(x, l.w, l.b)
-	if err != nil {
-		return nil, err
+// forward flattens whatever it is given: one image's activation is
+// already a single row.
+func (l *denseLayer) forward(ws *workspace, x act) (act, error) {
+	y := ws.alloc(l.w.Shape[0], 1, 1)
+	if err := tensor.DenseInto(y.data, x.data, l.w, l.b); err != nil {
+		return act{}, err
 	}
 	if l.relu {
-		tensor.ReLU(y)
+		tensor.ReLUSlice(y.data)
 	}
 	return y, nil
 }
@@ -178,22 +302,40 @@ func newResidual(name string, rng *rand.Rand, channels int) *residualBlock {
 	}
 }
 
-func (l *residualBlock) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, err := l.c1.Forward(x)
+func (l *residualBlock) forward(ws *workspace, x act) (act, error) {
+	y, err := l.c1.forward(ws, x)
 	if err != nil {
-		return nil, err
+		return act{}, err
 	}
-	if y, err = l.c2.Forward(y); err != nil {
-		return nil, err
+	if y, err = l.c2.forward(ws, y); err != nil {
+		return act{}, err
 	}
-	sum, err := tensor.Add(y, x)
-	if err != nil {
-		return nil, err
+	if len(y.data) != len(x.data) {
+		return act{}, fmt.Errorf("%w: add %d to %d floats", tensor.ErrShape, len(x.data), len(y.data))
 	}
-	return tensor.ReLU(sum), nil
+	// The skip add and the ReLU after it, in one pass over c2's output.
+	for i, v := range x.data {
+		if v += y.data[i]; v < 0 {
+			v = 0
+		}
+		y.data[i] = v
+	}
+	return y, nil
 }
 func (l *residualBlock) Params() int64 { return l.c1.Params() + l.c2.Params() }
 func (l *residualBlock) Name() string  { return l.name }
+
+// branches runs a and b on x and returns their outputs stacked as the
+// channels of one activation. One image's planes are contiguous, so
+// concatenating is telling each conv where to write.
+func branches(ws *workspace, x act, a, b *convLayer) (act, error) {
+	split := a.cout() * x.h * x.w
+	out := ws.alloc(a.cout()+b.cout(), x.h, x.w)
+	if err := a.into(ws, out.data[:split], x); err != nil {
+		return act{}, err
+	}
+	return out, b.into(ws, out.data[split:], x)
+}
 
 // denseBlock concatenates each conv's output onto its input (DenseNet).
 type denseBlock struct {
@@ -211,18 +353,23 @@ func newDenseBlock(name string, rng *rand.Rand, cin, growth, n int) *denseBlock 
 	return b
 }
 
-func (l *denseBlock) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	cur := x
-	for _, c := range l.convs {
-		y, err := c.Forward(cur)
-		if err != nil {
-			return nil, err
-		}
-		if cur, err = tensor.ConcatChannels(cur, y); err != nil {
-			return nil, err
-		}
+func (l *denseBlock) forward(ws *workspace, x act) (act, error) {
+	c, hw := x.c, x.h*x.w
+	for _, cv := range l.convs {
+		c += cv.cout()
 	}
-	return cur, nil
+	out := ws.alloc(c, x.h, x.w)
+	copy(out.data, x.data)
+	c = x.c
+	for _, cv := range l.convs {
+		// Reads every channel stacked so far, appends its own.
+		in := act{out.data[:c*hw], c, x.h, x.w}
+		if err := cv.into(ws, out.data[c*hw:(c+cv.cout())*hw], in); err != nil {
+			return act{}, err
+		}
+		c += cv.cout()
+	}
+	return out, nil
 }
 func (l *denseBlock) Params() int64 {
 	var t int64
@@ -248,20 +395,12 @@ func newFire(name string, rng *rand.Rand, cin, squeeze, expand int) *fireBlock {
 	}
 }
 
-func (l *fireBlock) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	s, err := l.squeeze.Forward(x)
+func (l *fireBlock) forward(ws *workspace, x act) (act, error) {
+	s, err := l.squeeze.forward(ws, x)
 	if err != nil {
-		return nil, err
+		return act{}, err
 	}
-	a, err := l.e1.Forward(s)
-	if err != nil {
-		return nil, err
-	}
-	b, err := l.e3.Forward(s)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ConcatChannels(a, b)
+	return branches(ws, s, l.e1, l.e3)
 }
 func (l *fireBlock) Params() int64 { return l.squeeze.Params() + l.e1.Params() + l.e3.Params() }
 func (l *fireBlock) Name() string  { return l.name }
@@ -280,16 +419,8 @@ func newInception(name string, rng *rand.Rand, cin, per int) *inceptionBlock {
 	}
 }
 
-func (l *inceptionBlock) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	a, err := l.b1.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	b, err := l.b3.Forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.ConcatChannels(a, b)
+func (l *inceptionBlock) forward(ws *workspace, x act) (act, error) {
+	return branches(ws, x, l.b1, l.b3)
 }
 func (l *inceptionBlock) Params() int64 { return l.b1.Params() + l.b3.Params() }
 func (l *inceptionBlock) Name() string  { return l.name }

@@ -1,9 +1,16 @@
 // Package tensor is a small CPU tensor library supporting the forward
 // passes of the CNN architectures in the model zoo (internal/nn). Layout
-// is dense NCHW float32. Convolutions and dense layers parallelize across
-// the output dimension with a worker pool sized to GOMAXPROCS, which keeps
-// live-mode inference latency reasonable without any external
-// dependencies.
+// is dense NCHW float32.
+//
+// Every compute kernel exists once, as an "Into" function that works on
+// one image (or one row) of raw float32s and writes into memory the
+// caller owns; it allocates nothing, so internal/nn can run a whole
+// network inside a reusable workspace. The *Tensor functions of the same
+// name (Conv2D, MaxPool2D, Dense, GlobalAvgPool, Softmax) are thin
+// allocating wrappers that loop the kernel over the batch. Nothing here
+// starts goroutines: a live invoke is one image on a request goroutine
+// that already shares the cores with its peers, and internal/nn splits
+// larger batches by image.
 package tensor
 
 import (
@@ -11,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Tensor is a dense n-dimensional array of float32 in row-major order.
@@ -110,96 +115,128 @@ func (t *Tensor) FillRandom(rng *rand.Rand, stddev float64) {
 // ErrShape indicates incompatible operand shapes.
 var ErrShape = errors.New("tensor: shape mismatch")
 
-// parallelFor runs fn(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// OutHW returns the output size of a kh×kw window sliding with the given
+// stride over an h×w plane padded by pad on every side. A window larger
+// than the padded plane is an error, not a clipped 1-wide output: the
+// kernels below have no per-tap bounds test.
+func OutHW(h, w, kh, kw, stride, pad int) (ho, wo int, err error) {
+	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
+		return 0, 0, fmt.Errorf("tensor: invalid window %dx%d stride=%d pad=%d", kh, kw, stride, pad)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
+	if kh > h+2*pad || kw > w+2*pad {
+		return 0, 0, fmt.Errorf("%w: window %dx%d over input %dx%d (pad %d)", ErrShape, kh, kw, h, w, pad)
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
+	return (h+2*pad-kh)/stride + 1, (w+2*pad-kw)/stride + 1, nil
+}
+
+// convGeom validates one image's convolution operands and returns the
+// output geometry.
+func convGeom(cin, h, wd int, w, bias *Tensor, stride, pad int) (cout, ho, wo int, err error) {
+	if w.Dims() != 4 {
+		return 0, 0, 0, fmt.Errorf("%w: conv2d needs 4-D w, got %v", ErrShape, w.Shape)
 	}
-	wg.Wait()
+	cout = w.Shape[0]
+	if cin != w.Shape[1] {
+		return 0, 0, 0, fmt.Errorf("%w: conv2d Cin %d != weight Cin %d", ErrShape, cin, w.Shape[1])
+	}
+	if bias != nil && (bias.Dims() != 1 || bias.Shape[0] != cout) {
+		return 0, 0, 0, fmt.Errorf("%w: conv2d bias %v, want [%d]", ErrShape, bias.Shape, cout)
+	}
+	ho, wo, err = OutHW(h, wd, w.Shape[2], w.Shape[3], stride, pad)
+	return cout, ho, wo, err
 }
 
 // Conv2D computes a 2-D convolution. x is [N, Cin, H, W]; w is
 // [Cout, Cin, KH, KW]; bias (may be nil) is [Cout]. Stride and padding are
 // symmetric. Output is [N, Cout, Ho, Wo].
 func Conv2D(x, w, bias *Tensor, stride, pad int) (*Tensor, error) {
-	if x.Dims() != 4 || w.Dims() != 4 {
-		return nil, fmt.Errorf("%w: conv2d needs 4-D x and w, got %v and %v", ErrShape, x.Shape, w.Shape)
-	}
-	if stride <= 0 || pad < 0 {
-		return nil, fmt.Errorf("tensor: invalid stride %d / pad %d", stride, pad)
+	if x.Dims() != 4 {
+		return nil, fmt.Errorf("%w: conv2d needs 4-D x, got %v", ErrShape, x.Shape)
 	}
 	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cout, wcin, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	if cin != wcin {
-		return nil, fmt.Errorf("%w: conv2d Cin %d != weight Cin %d", ErrShape, cin, wcin)
-	}
-	if bias != nil && (bias.Dims() != 1 || bias.Shape[0] != cout) {
-		return nil, fmt.Errorf("%w: conv2d bias %v, want [%d]", ErrShape, bias.Shape, cout)
-	}
-	ho := (h+2*pad-kh)/stride + 1
-	wo := (wd+2*pad-kw)/stride + 1
-	if ho <= 0 || wo <= 0 {
-		return nil, fmt.Errorf("%w: conv2d output %dx%d", ErrShape, ho, wo)
+	cout, ho, wo, err := convGeom(cin, h, wd, w, bias, stride, pad)
+	if err != nil {
+		return nil, err
 	}
 	out := MustNew(n, cout, ho, wo)
-	parallelFor(n*cout, func(job int) {
-		b := job / cout
-		oc := job % cout
+	in, on := cin*h*wd, cout*ho*wo
+	var scratch []float32
+	for b := 0; b < n; b++ {
+		if err := Conv2DInto(out.Data[b*on:(b+1)*on], x.Data[b*in:(b+1)*in], h, wd, w, bias, stride, pad, &scratch); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Conv2DInto convolves one image: x is [Cin, h, wd], dst is
+// [Cout, Ho, Wo] and is overwritten. It is the package's only convolution
+// kernel. The input is first copied into *scratch with a zero border of
+// pad pixels (scratch is grown on demand and worth keeping between
+// calls), so the tap loops run over whole output rows with no bounds
+// tests; each output still accumulates bias, then its taps in
+// (ic, ky, kx) order, so results are bit-identical to the per-pixel
+// reference in tensor_test.go for finite weights.
+func Conv2DInto(dst, x []float32, h, wd int, w, bias *Tensor, stride, pad int, scratch *[]float32) error {
+	if h <= 0 || wd <= 0 || len(x)%(h*wd) != 0 {
+		return fmt.Errorf("%w: conv2d input len %d is not planes of %dx%d", ErrShape, len(x), h, wd)
+	}
+	cin := len(x) / (h * wd)
+	cout, ho, wo, err := convGeom(cin, h, wd, w, bias, stride, pad)
+	if err != nil {
+		return err
+	}
+	if len(dst) != cout*ho*wo {
+		return fmt.Errorf("%w: conv2d dst len %d, want %dx%dx%d", ErrShape, len(dst), cout, ho, wo)
+	}
+	kh, kw := w.Shape[2], w.Shape[3]
+	hp, wp := h+2*pad, wd+2*pad
+	if pad > 0 {
+		if cap(*scratch) < cin*hp*wp {
+			*scratch = make([]float32, cin*hp*wp)
+		}
+		p := (*scratch)[:cin*hp*wp]
+		clear(p)
+		for r := 0; r < cin*h; r++ {
+			copy(p[((r/h)*hp+r%h+pad)*wp+pad:], x[r*wd:(r+1)*wd])
+		}
+		x = p
+	}
+	for oc := 0; oc < cout; oc++ {
 		var bv float32
 		if bias != nil {
 			bv = bias.Data[oc]
 		}
 		for oy := 0; oy < ho; oy++ {
-			for ox := 0; ox < wo; ox++ {
-				sum := bv
-				for ic := 0; ic < cin; ic++ {
-					xBase := ((b*cin + ic) * h) * wd
-					wBase := ((oc*cin + ic) * kh) * kw
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*stride + ky - pad
-						if iy < 0 || iy >= h {
-							continue
+			d := dst[(oc*ho+oy)*wo : (oc*ho+oy+1)*wo]
+			for i := range d {
+				d[i] = bv
+			}
+			for ic := 0; ic < cin; ic++ {
+				for ky := 0; ky < kh; ky++ {
+					row := x[(ic*hp+oy*stride+ky)*wp:][:wp]
+					taps := w.Data[((oc*cin+ic)*kh+ky)*kw:][:kw]
+					if kw == 3 && stride == 1 {
+						x0, x1, x2 := row[:len(d)], row[1:][:len(d)], row[2:][:len(d)]
+						w0, w1, w2 := taps[0], taps[1], taps[2]
+						for i, s := range d {
+							s += x0[i] * w0
+							s += x1[i] * w1
+							s += x2[i] * w2
+							d[i] = s
 						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= wd {
-								continue
-							}
-							sum += x.Data[xBase+iy*wd+ix] * w.Data[wBase+ky*kw+kx]
+						continue
+					}
+					for kx, wv := range taps {
+						for i := range d {
+							d[i] += row[i*stride+kx] * wv
 						}
 					}
 				}
-				out.Data[((b*cout+oc)*ho+oy)*wo+ox] = sum
 			}
 		}
-	})
-	return out, nil
+	}
+	return nil
 }
 
 // Dense computes y = x·Wᵀ + b. x is [N, In]; w is [Out, In]; b (may be
@@ -208,40 +245,52 @@ func Dense(x, w, bias *Tensor) (*Tensor, error) {
 	if x.Dims() != 2 || w.Dims() != 2 {
 		return nil, fmt.Errorf("%w: dense needs 2-D x and w", ErrShape)
 	}
-	n, in := x.Shape[0], x.Shape[1]
-	outDim, win := w.Shape[0], w.Shape[1]
-	if in != win {
-		return nil, fmt.Errorf("%w: dense In %d != weight In %d", ErrShape, in, win)
-	}
-	if bias != nil && (bias.Dims() != 1 || bias.Shape[0] != outDim) {
-		return nil, fmt.Errorf("%w: dense bias %v, want [%d]", ErrShape, bias.Shape, outDim)
-	}
+	n, in, outDim := x.Shape[0], x.Shape[1], w.Shape[0]
 	out := MustNew(n, outDim)
-	parallelFor(n, func(b int) {
-		xRow := x.Data[b*in : (b+1)*in]
-		for o := 0; o < outDim; o++ {
-			wRow := w.Data[o*in : (o+1)*in]
-			var sum float32
-			if bias != nil {
-				sum = bias.Data[o]
-			}
-			for i, xv := range xRow {
-				sum += xv * wRow[i]
-			}
-			out.Data[b*outDim+o] = sum
+	for b := 0; b < n; b++ {
+		if err := DenseInto(out.Data[b*outDim:(b+1)*outDim], x.Data[b*in:(b+1)*in], w, bias); err != nil {
+			return nil, err
 		}
-	})
+	}
 	return out, nil
+}
+
+// DenseInto computes one row of Dense: dst = W·x + b with w [Out, In],
+// len(x) == In and len(dst) == Out.
+func DenseInto(dst, x []float32, w, bias *Tensor) error {
+	if w.Dims() != 2 || len(x) != w.Shape[1] || len(dst) != w.Shape[0] {
+		return fmt.Errorf("%w: dense %d -> %d with weight %v", ErrShape, len(x), len(dst), w.Shape)
+	}
+	if bias != nil && (bias.Dims() != 1 || bias.Shape[0] != len(dst)) {
+		return fmt.Errorf("%w: dense bias %v, want [%d]", ErrShape, bias.Shape, len(dst))
+	}
+	for o := range dst {
+		wRow := w.Data[o*len(x):][:len(x)]
+		var sum float32
+		if bias != nil {
+			sum = bias.Data[o]
+		}
+		for i, xv := range x {
+			sum += xv * wRow[i]
+		}
+		dst[o] = sum
+	}
+	return nil
 }
 
 // ReLU applies max(0, x) in place and returns x.
 func ReLU(x *Tensor) *Tensor {
-	for i, v := range x.Data {
+	ReLUSlice(x.Data)
+	return x
+}
+
+// ReLUSlice applies max(0, x) to xs in place.
+func ReLUSlice(xs []float32) {
+	for i, v := range xs {
 		if v < 0 {
-			x.Data[i] = 0
+			xs[i] = 0
 		}
 	}
-	return x
 }
 
 // Add computes x + y element-wise into a new tensor (residual connections).
@@ -290,35 +339,42 @@ func MaxPool2D(x *Tensor, k, stride int) (*Tensor, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("%w: maxpool needs 4-D input", ErrShape)
 	}
-	if k <= 0 || stride <= 0 {
-		return nil, fmt.Errorf("tensor: invalid pool k=%d stride=%d", k, stride)
+	h, w := x.Shape[2], x.Shape[3]
+	ho, wo, err := OutHW(h, w, k, k, stride, 0)
+	if err != nil {
+		return nil, err
 	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho := (h-k)/stride + 1
-	wo := (w-k)/stride + 1
-	if ho <= 0 || wo <= 0 {
-		return nil, fmt.Errorf("%w: maxpool output %dx%d", ErrShape, ho, wo)
+	out := MustNew(x.Shape[0], x.Shape[1], ho, wo)
+	return out, MaxPool2DInto(out.Data, x.Data, h, w, k, stride)
+}
+
+// MaxPool2DInto pools every h×w plane of x into the matching Ho×Wo plane
+// of dst.
+func MaxPool2DInto(dst, x []float32, h, w, k, stride int) error {
+	ho, wo, err := OutHW(h, w, k, k, stride, 0)
+	if err != nil {
+		return err
 	}
-	out := MustNew(n, c, ho, wo)
-	parallelFor(n*c, func(job int) {
-		base := job * h * w
-		obase := job * ho * wo
+	if len(x)%(h*w) != 0 || len(dst) != len(x)/(h*w)*ho*wo {
+		return fmt.Errorf("%w: maxpool %d floats of %dx%d planes into %d", ErrShape, len(x), h, w, len(dst))
+	}
+	for p := 0; p < len(x)/(h*w); p++ {
+		plane := x[p*h*w : (p+1)*h*w]
 		for oy := 0; oy < ho; oy++ {
 			for ox := 0; ox < wo; ox++ {
 				best := float32(math.Inf(-1))
 				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						v := x.Data[base+(oy*stride+ky)*w+ox*stride+kx]
+					for _, v := range plane[(oy*stride+ky)*w+ox*stride:][:k] {
 						if v > best {
 							best = v
 						}
 					}
 				}
-				out.Data[obase+oy*wo+ox] = best
+				dst[(p*ho+oy)*wo+ox] = best
 			}
 		}
-	})
-	return out, nil
+	}
+	return nil
 }
 
 // GlobalAvgPool reduces a 4-D tensor [N,C,H,W] to [N,C] by averaging each
@@ -327,17 +383,21 @@ func GlobalAvgPool(x *Tensor) (*Tensor, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("%w: gap needs 4-D input", ErrShape)
 	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := MustNew(n, c)
-	hw := float32(h * w)
-	for j := 0; j < n*c; j++ {
+	out := MustNew(x.Shape[0], x.Shape[1])
+	GlobalAvgPoolInto(out.Data, x.Data)
+	return out, nil
+}
+
+// GlobalAvgPoolInto averages x in len(dst) equal consecutive planes.
+func GlobalAvgPoolInto(dst, x []float32) {
+	hw := len(x) / len(dst)
+	for j := range dst {
 		var sum float32
-		for _, v := range x.Data[j*h*w : (j+1)*h*w] {
+		for _, v := range x[j*hw : (j+1)*hw] {
 			sum += v
 		}
-		out.Data[j] = sum / hw
+		dst[j] = sum / float32(hw)
 	}
-	return out, nil
 }
 
 // BatchNorm applies per-channel inference-mode normalization
@@ -376,24 +436,30 @@ func Softmax(x *Tensor) (*Tensor, error) {
 	n, c := x.Shape[0], x.Shape[1]
 	out := MustNew(n, c)
 	for b := 0; b < n; b++ {
-		row := x.Data[b*c : (b+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for i, v := range row {
-			e := math.Exp(float64(v - maxv))
-			out.Data[b*c+i] = float32(e)
-			sum += e
-		}
-		for i := range row {
-			out.Data[b*c+i] = float32(float64(out.Data[b*c+i]) / sum)
-		}
+		SoftmaxInto(out.Data[b*c:(b+1)*c], x.Data[b*c:(b+1)*c])
 	}
 	return out, nil
+}
+
+// SoftmaxInto writes the softmax of the non-empty row x into dst, which
+// must be as long.
+func SoftmaxInto(dst, x []float32) {
+	dst = dst[:len(x)]
+	maxv := x[0]
+	for _, v := range x[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for i, v := range x {
+		e := math.Exp(float64(v - maxv))
+		dst[i] = float32(e)
+		sum += e
+	}
+	for i, e := range dst {
+		dst[i] = float32(float64(e) / sum)
+	}
 }
 
 // Argmax returns the index of the largest value in each row of a 2-D
@@ -404,16 +470,22 @@ func Argmax(x *Tensor) ([]int, error) {
 	}
 	n, c := x.Shape[0], x.Shape[1]
 	out := make([]int, n)
-	for b := 0; b < n; b++ {
-		best, bi := x.Data[b*c], 0
-		for i := 1; i < c; i++ {
-			if v := x.Data[b*c+i]; v > best {
-				best, bi = v, i
-			}
-		}
-		out[b] = bi
+	for b := range out {
+		out[b] = ArgmaxRow(x.Data[b*c : (b+1)*c])
 	}
 	return out, nil
+}
+
+// ArgmaxRow returns the index of the first largest value of a non-empty
+// row.
+func ArgmaxRow(row []float32) int {
+	bi := 0
+	for i, v := range row {
+		if v > row[bi] {
+			bi = i
+		}
+	}
+	return bi
 }
 
 // Flatten reshapes [N, ...] to [N, rest].

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -124,6 +125,181 @@ func TestConv2DErrors(t *testing.T) {
 	if _, err := Conv2D(MustNew(2, 2), w2, nil, 1, 0); err == nil {
 		t.Error("2-D input should fail")
 	}
+	// (h+2·pad-kh)/stride truncates toward zero, so an ho <= 0 test alone
+	// lets a window up to stride-1 larger than the padded input through
+	// as a 1x1 output.
+	for _, c := range []struct{ h, w, kh, kw, stride, pad int }{
+		{2, 4, 3, 3, 2, 0}, {4, 2, 3, 3, 2, 0}, {2, 2, 5, 5, 2, 1}, {4, 4, 7, 3, 4, 1},
+	} {
+		_, err := Conv2D(MustNew(1, 2, c.h, c.w), MustNew(3, 2, c.kh, c.kw), nil, c.stride, c.pad)
+		if !errors.Is(err, ErrShape) {
+			t.Errorf("%+v: err = %v, want ErrShape", c, err)
+		}
+	}
+	var scratch []float32
+	if err := Conv2DInto(make([]float32, 5), x.Data, 4, 4, w2, nil, 1, 0, &scratch); !errors.Is(err, ErrShape) {
+		t.Errorf("short dst: err = %v, want ErrShape", err)
+	}
+	if err := Conv2DInto(make([]float32, 12), x.Data[:30], 4, 4, w2, nil, 1, 0, &scratch); !errors.Is(err, ErrShape) {
+		t.Errorf("ragged input: err = %v, want ErrShape", err)
+	}
+}
+
+// refConv2D is the textbook per-pixel convolution — one output at a time,
+// every tap bounds-tested — and the oracle Conv2DInto must match bit for
+// bit.
+func refConv2D(x, w, bias *Tensor, stride, pad int) *Tensor {
+	n, cin, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	cout, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
+	ho := (h+2*pad-kh)/stride + 1
+	wo := (wd+2*pad-kw)/stride + 1
+	out := MustNew(n, cout, ho, wo)
+	for job := 0; job < n*cout; job++ {
+		b := job / cout
+		oc := job % cout
+		var bv float32
+		if bias != nil {
+			bv = bias.Data[oc]
+		}
+		for oy := 0; oy < ho; oy++ {
+			for ox := 0; ox < wo; ox++ {
+				sum := bv
+				for ic := 0; ic < cin; ic++ {
+					xBase := ((b*cin + ic) * h) * wd
+					wBase := ((oc*cin + ic) * kh) * kw
+					for ky := 0; ky < kh; ky++ {
+						iy := oy*stride + ky - pad
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < kw; kx++ {
+							ix := ox*stride + kx - pad
+							if ix < 0 || ix >= wd {
+								continue
+							}
+							sum += x.Data[xBase+iy*wd+ix] * w.Data[wBase+ky*kw+kx]
+						}
+					}
+				}
+				out.Data[((b*cout+oc)*ho+oy)*wo+ox] = sum
+			}
+		}
+	}
+	return out
+}
+
+// TestConv2DMatchesReference: the row-wise kernel must reproduce the
+// per-pixel loop bit for bit — every k/stride/pad the zoo uses, plus odd
+// sizes, single channels, non-square planes and kernels, and nil bias.
+func TestConv2DMatchesReference(t *testing.T) {
+	cases := []struct {
+		name                               string
+		n, cin, cout, h, w, kh, kw, s, pad int
+		bias                               bool
+	}{
+		{"zoo 3x3 s1 p1 stem", 2, 3, 16, 32, 32, 3, 3, 1, 1, true},
+		{"zoo 3x3 s2 p1 stem", 1, 3, 16, 32, 32, 3, 3, 2, 1, true},
+		{"zoo 5x5 s2 p2", 1, 3, 24, 32, 32, 5, 5, 2, 2, true},
+		{"zoo 1x1", 3, 16, 4, 16, 16, 1, 1, 1, 0, true},
+		{"zoo 16->16 residual", 1, 16, 16, 16, 16, 3, 3, 1, 1, true},
+		{"zoo 8x8 residual", 1, 16, 16, 8, 8, 3, 3, 1, 1, false},
+		{"odd plane", 2, 5, 7, 11, 13, 3, 3, 1, 1, true},
+		{"odd plane s2", 1, 5, 7, 11, 13, 3, 3, 2, 1, false},
+		{"odd plane s3 p0", 1, 2, 3, 10, 7, 3, 3, 3, 0, true},
+		{"cin=cout=1", 1, 1, 1, 9, 9, 3, 3, 1, 1, false},
+		{"wide pad", 1, 2, 2, 5, 6, 3, 3, 1, 2, true},
+		{"non-square kernel", 2, 3, 4, 9, 12, 2, 5, 1, 1, true},
+		{"3-wide kernel, 1 tall", 1, 3, 4, 6, 9, 1, 3, 1, 0, true},
+		{"window == padded input", 1, 2, 3, 3, 3, 5, 5, 1, 1, true},
+		{"1x1 plane", 2, 4, 4, 1, 1, 3, 3, 1, 1, true},
+	}
+	for i, c := range cases {
+		rng := rand.New(rand.NewSource(int64(100 + i)))
+		x := MustNew(c.n, c.cin, c.h, c.w)
+		x.FillRandom(rng, 1)
+		w := MustNew(c.cout, c.cin, c.kh, c.kw)
+		w.FillRandom(rng, 0.3)
+		var bias *Tensor
+		if c.bias {
+			bias = MustNew(c.cout)
+			bias.FillRandom(rng, 0.5)
+		}
+		got, err := Conv2D(x, w, bias, c.s, c.pad)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := refConv2D(x, w, bias, c.s, c.pad)
+		if !got.SameShape(want) {
+			t.Fatalf("%s: shape %v, want %v", c.name, got.Shape, want.Shape)
+		}
+		for j := range want.Data {
+			if got.Data[j] != want.Data[j] {
+				t.Fatalf("%s: out[%d] = %v, want %v", c.name, j, got.Data[j], want.Data[j])
+			}
+		}
+	}
+}
+
+// The "into" kernels write every element of their destination and do not
+// allocate once the conv scratch has grown.
+func TestIntoKernelsOverwriteAndDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := MustNew(1, 4, 8, 8)
+	x.FillRandom(rng, 1)
+	w := MustNew(6, 4, 3, 3)
+	w.FillRandom(rng, 0.3)
+	fw := MustNew(5, 6*4*4)
+	fw.FillRandom(rng, 0.3)
+	conv := make([]float32, 6*8*8)
+	pool := make([]float32, 6*4*4)
+	gap := make([]float32, 6)
+	fc := make([]float32, 5)
+	sm := make([]float32, 5)
+	var scratch []float32
+	run := func() {
+		for _, d := range [][]float32{conv, pool, gap, fc, sm} {
+			for i := range d {
+				d[i] = float32(math.NaN())
+			}
+		}
+		if err := Conv2DInto(conv, x.Data, 8, 8, w, nil, 1, 1, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		if err := MaxPool2DInto(pool, conv, 8, 8, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+		GlobalAvgPoolInto(gap, pool)
+		if err := DenseInto(fc, pool, fw, nil); err != nil {
+			t.Fatal(err)
+		}
+		SoftmaxInto(sm, fc)
+	}
+	run()
+	wantConv, _ := Conv2D(x, w, nil, 1, 1)
+	wantPool, _ := MaxPool2D(wantConv, 2, 2)
+	wantGap, _ := GlobalAvgPool(wantPool)
+	flat, _ := Flatten(wantPool)
+	wantFC, _ := Dense(flat, fw, nil)
+	wantSM, _ := Softmax(wantFC)
+	for _, p := range []struct {
+		name      string
+		got, want []float32
+	}{{"conv", conv, wantConv.Data}, {"pool", pool, wantPool.Data}, {"gap", gap, wantGap.Data}, {"dense", fc, wantFC.Data}, {"softmax", sm, wantSM.Data}} {
+		for i := range p.want {
+			if p.got[i] != p.want[i] {
+				t.Fatalf("%s[%d] = %v, want %v", p.name, i, p.got[i], p.want[i])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Errorf("into kernels allocate %v objects per run, want 0", n)
+	}
+	if err := DenseInto(fc, pool[:7], fw, nil); !errors.Is(err, ErrShape) {
+		t.Errorf("dense short input: err = %v, want ErrShape", err)
+	}
+	if err := MaxPool2DInto(pool[:5], conv, 8, 8, 2, 2); !errors.Is(err, ErrShape) {
+		t.Errorf("maxpool short dst: err = %v, want ErrShape", err)
+	}
 }
 
 func TestDense(t *testing.T) {
@@ -203,6 +379,14 @@ func TestMaxPool(t *testing.T) {
 	}
 	if _, err := MaxPool2D(x, 9, 1); err == nil {
 		t.Error("pool larger than input should fail")
+	}
+	// (h-k)/stride truncates toward zero: a 3-wide window at stride 2 over
+	// a 2x2 plane computes ho = 1, which must not reach the kernel.
+	if _, err := MaxPool2D(MustNew(1, 1, 2, 2), 3, 2); !errors.Is(err, ErrShape) {
+		t.Errorf("3x3/2 pool over 2x2: err = %v, want ErrShape", err)
+	}
+	if _, err := MaxPool2D(MustNew(1, 1, 4, 2), 3, 2); !errors.Is(err, ErrShape) {
+		t.Errorf("3x3/2 pool over 4x2: err = %v, want ErrShape", err)
 	}
 }
 
