@@ -18,6 +18,7 @@ import (
 
 	"gpufaas/internal/autoscale"
 	"gpufaas/internal/cache"
+	"gpufaas/internal/cluster"
 	"gpufaas/internal/core"
 	"gpufaas/internal/experiments"
 	"gpufaas/internal/sim"
@@ -523,13 +524,14 @@ func BenchmarkScheduleDecision(b *testing.B) {
 	})
 }
 
-// TestHotpathZeroAlloc pins the observability tentpole's cost contract:
-// with tracing disabled (the zero obs.Options), the two hot loops every
-// simulated request crosses — the engine's schedule+fire cycle and the
-// steady per-decision scheduler round — stay at 0 allocs/op. The
-// instrumentation hooks are nil-guarded pointer checks; if one ever
-// escapes into an allocation on the disabled path, this fails before
-// the BENCH snapshot quietly regresses.
+// TestHotpathZeroAlloc pins the hot loops every simulated request crosses
+// at 0 allocs/op with tracing disabled (the zero obs.Options): the
+// engine's schedule+fire cycle, the steady per-decision scheduler round,
+// the GPU manager's launch → completion cycle that links them, and all
+// three together as one warm cluster's Submit → dispatch → complete. The
+// instrumentation hooks are nil-guarded pointer checks and a launch fills
+// its GPU's resident slot; if either ever escapes into an allocation,
+// this fails before the BENCH snapshot quietly regresses.
 func TestHotpathZeroAlloc(t *testing.T) {
 	t.Run("engine_fire", func(t *testing.T) {
 		e := sim.New()
@@ -580,6 +582,49 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(1000, round); avg != 0 {
 			t.Errorf("steady decision allocates %.2f allocs/op, want 0", avg)
+		}
+	})
+	t.Run("launch_complete", func(t *testing.T) {
+		cycle, err := experiments.LaunchCycle(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, members := range []int{1, 4} {
+			if avg := testing.AllocsPerRun(1000, func() {
+				if err := cycle(members); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("%d-member launch+complete allocates %.2f allocs/op, want 0", members, avg)
+			}
+		}
+	})
+	t.Run("cluster_submit_complete", func(t *testing.T) {
+		c, err := cluster.New(cluster.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &core.Request{Function: "fn", Model: "resnet18", BatchSize: 32}
+		cycle := func() {
+			// The request is done with once its completion has run.
+			req.ID++
+			req.Arrival = c.Engine().Now()
+			if err := c.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+			c.Engine().Run(0)
+		}
+		// Past the first miss, and short of the next growth of the
+		// cluster's latency sample (it starts with room for 4096).
+		for i := 0; i < 512; i++ {
+			cycle()
+		}
+		before := c.Completed()
+		if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+			t.Errorf("cluster submit+complete allocates %.2f allocs/op, want 0", avg)
+		}
+		if done := c.Completed() - before; done != 1001 {
+			t.Errorf("%d completions for 1001 cycles", done)
 		}
 	})
 }

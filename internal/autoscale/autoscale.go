@@ -388,7 +388,7 @@ func (a *Autoscaler) record(ev ScaleEvent) {
 }
 
 func (a *Autoscaler) schedule() {
-	a.cancel = a.clock.AfterFunc(a.cfg.Interval, "autoscale.tick", a.tick)
+	a.cancel = sim.AfterFunc(a.clock, a.cfg.Interval, "autoscale.tick", a.tick)
 }
 
 func (a *Autoscaler) tick(now sim.Time) {

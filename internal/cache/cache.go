@@ -32,9 +32,10 @@ type ReplacementList interface {
 	Touch(model string)
 	// Remove drops a model (evicted or killed).
 	Remove(model string)
-	// Candidates returns resident models in eviction-preference order
-	// (first = evict first).
-	Candidates() []string
+	// AppendCandidates appends the resident models to dst in
+	// eviction-preference order (first = evict first) and returns the
+	// extended slice.
+	AppendCandidates(dst []string) []string
 	// Len returns the number of tracked models.
 	Len() int
 }
@@ -71,12 +72,11 @@ func (l *lruList) Remove(model string) {
 	}
 }
 
-func (l *lruList) Candidates() []string {
-	out := make([]string, 0, l.ll.Len())
+func (l *lruList) AppendCandidates(dst []string) []string {
 	for e := l.ll.Back(); e != nil; e = e.Prev() {
-		out = append(out, e.Value.(string))
+		dst = append(dst, e.Value.(string))
 	}
-	return out
+	return dst
 }
 
 func (l *lruList) Len() int { return len(l.pos) }
@@ -107,12 +107,11 @@ func (l *fifoList) Remove(model string) {
 	}
 }
 
-func (l *fifoList) Candidates() []string {
-	out := make([]string, 0, l.ll.Len())
+func (l *fifoList) AppendCandidates(dst []string) []string {
 	for e := l.ll.Back(); e != nil; e = e.Prev() {
-		out = append(out, e.Value.(string))
+		dst = append(dst, e.Value.(string))
 	}
-	return out
+	return dst
 }
 
 func (l *fifoList) Len() int { return len(l.pos) }
@@ -151,11 +150,12 @@ func (l *lfuList) Remove(model string) {
 	delete(l.last, model)
 }
 
-func (l *lfuList) Candidates() []string {
-	out := make([]string, 0, len(l.count))
+func (l *lfuList) AppendCandidates(dst []string) []string {
+	n := len(dst)
 	for m := range l.count {
-		out = append(out, m)
+		dst = append(dst, m)
 	}
+	out := dst[n:]
 	sort.Slice(out, func(i, j int) bool {
 		ci, cj := l.count[out[i]], l.count[out[j]]
 		if ci != cj {
@@ -163,7 +163,7 @@ func (l *lfuList) Candidates() []string {
 		}
 		return l.last[out[i]] < l.last[out[j]]
 	})
-	return out
+	return dst
 }
 
 func (l *lfuList) Len() int { return len(l.count) }
@@ -219,6 +219,9 @@ type Manager struct {
 	falseMiss
 	tracked map[string]*stats.TimeWeighted
 	subs    []func(Event)
+	// Scratch for Victims: the GPU's replacement order and the chosen
+	// victims, reused across calls.
+	candidates, victims []string
 }
 
 type falseMiss struct {
@@ -387,7 +390,9 @@ func (m *Manager) Pin(gpuID, model string) {
 // first according to the GPU's replacement list, so that `need` bytes fit.
 // It returns nil (no evictions) when the model already fits. Pinned models
 // are skipped. ErrWontFit is returned when even evicting every candidate
-// cannot make room.
+// cannot make room. The returned slice is the manager's scratch: it is
+// valid until the next Victims call (the GPU Manager evicts the victims
+// before it asks again).
 func (m *Manager) Victims(dev DeviceView, need int64) ([]string, error) {
 	rl, ok := m.perGPU[dev.ID()]
 	if !ok {
@@ -397,8 +402,9 @@ func (m *Manager) Victims(dev DeviceView, need int64) ([]string, error) {
 	if free >= need {
 		return nil, nil
 	}
-	var victims []string
-	for _, cand := range rl.Candidates() {
+	m.candidates = rl.AppendCandidates(m.candidates[:0])
+	m.victims = m.victims[:0]
+	for _, cand := range m.candidates {
 		if m.pinned[dev.ID()] == cand {
 			continue
 		}
@@ -408,10 +414,10 @@ func (m *Manager) Victims(dev DeviceView, need int64) ([]string, error) {
 			// already gone.
 			continue
 		}
-		victims = append(victims, cand)
+		m.victims = append(m.victims, cand)
 		free += sz
 		if free >= need {
-			return victims, nil
+			return m.victims, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: need %d, reachable %d on %s", ErrWontFit, need, free, dev.ID())
@@ -541,7 +547,7 @@ func (m *Manager) CheckConsistency() error {
 	}
 	fromLists := make(map[string]map[string]bool)
 	for id, rl := range m.perGPU {
-		for _, model := range rl.Candidates() {
+		for _, model := range rl.AppendCandidates(nil) {
 			set, ok := fromLists[model]
 			if !ok {
 				set = make(map[string]bool)

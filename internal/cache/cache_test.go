@@ -308,7 +308,7 @@ func TestReplacementListPolicies(t *testing.T) {
 		l.Insert("b")
 		l.Insert("c")
 		l.Touch("a") // order (evict first): b, c, a
-		got := l.Candidates()
+		got := l.AppendCandidates(nil)
 		if len(got) != 3 || got[0] != "b" || got[1] != "c" || got[2] != "a" {
 			t.Errorf("LRU candidates = %v", got)
 		}
@@ -317,7 +317,7 @@ func TestReplacementListPolicies(t *testing.T) {
 			t.Errorf("Len = %d", l.Len())
 		}
 		l.Insert("a") // re-insert refreshes
-		if got := l.Candidates(); got[0] != "b" {
+		if got := l.AppendCandidates(nil); got[0] != "b" {
 			t.Errorf("after refresh = %v", got)
 		}
 	})
@@ -327,7 +327,7 @@ func TestReplacementListPolicies(t *testing.T) {
 		l.Insert("b")
 		l.Touch("a")  // no effect
 		l.Insert("a") // no effect, already present
-		got := l.Candidates()
+		got := l.AppendCandidates(nil)
 		if got[0] != "a" || got[1] != "b" {
 			t.Errorf("FIFO candidates = %v", got)
 		}
@@ -346,7 +346,7 @@ func TestReplacementListPolicies(t *testing.T) {
 		l.Touch("b")
 		l.Touch("c")
 		l.Touch("missing") // ignored
-		got := l.Candidates()
+		got := l.AppendCandidates(nil)
 		// a: 0 uses, c: 1 use, b: 2 uses
 		if got[0] != "a" || got[1] != "c" || got[2] != "b" {
 			t.Errorf("LFU candidates = %v", got)

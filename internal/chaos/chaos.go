@@ -208,7 +208,7 @@ func (in *Injector) Start(now sim.Time) {
 		// Script timers are not per-device (the target may not exist yet
 		// at schedule time); the fire-time ordinal lookup makes a fault
 		// against a departed or never-live ordinal a no-op.
-		in.clock.AfterFunc(at-now, "chaos.script", func(at sim.Time) {
+		sim.AfterFunc(in.clock, at-now, "chaos.script", func(at sim.Time) {
 			d, ok := in.devs[f.Ord]
 			if !ok {
 				return
@@ -233,7 +233,7 @@ func (in *Injector) DeviceAdded(ord int, gpuID string, now sim.Time) {
 	if in.cfg.MTBF > 0 {
 		at := now + sim.Time(expSample(in.cfg.MTBF, in.streamU64(ord, streamCrash, 0)))
 		if at < sim.Time(in.cfg.Horizon) {
-			cancel := in.clock.AfterFunc(at-now, "chaos.crash "+gpuID, func(at sim.Time) {
+			cancel := sim.AfterFunc(in.clock, at-now, "chaos.crash "+gpuID, func(at sim.Time) {
 				in.faults++
 				in.hooks.Fail(gpuID, at)
 			})
@@ -265,7 +265,7 @@ func (in *Injector) armStraggler(ord int, d *devState, now sim.Time) {
 	if at >= sim.Time(in.cfg.Horizon) {
 		return
 	}
-	cancel := in.clock.AfterFunc(at-now, "chaos.straggle "+d.id, func(at sim.Time) {
+	cancel := sim.AfterFunc(in.clock, at-now, "chaos.straggle "+d.id, func(at sim.Time) {
 		in.openWindow(ord, d, in.cfg.StragglerFactor, in.cfg.StragglerWindow, at)
 	})
 	d.cancels = append(d.cancels, cancel)
@@ -279,7 +279,7 @@ func (in *Injector) openWindow(ord int, d *devState, factor float64, window time
 	in.stragglers++
 	in.hooks.SetSlowdown(d.id, factor, now)
 	end := now + sim.Time(window)
-	cancel := in.clock.AfterFunc(end-now, "chaos.restore "+d.id, func(at sim.Time) {
+	cancel := sim.AfterFunc(in.clock, end-now, "chaos.restore "+d.id, func(at sim.Time) {
 		in.hooks.SetSlowdown(d.id, 1, at)
 		if in.cfg.StragglerEvery > 0 {
 			in.armStraggler(ord, d, at)

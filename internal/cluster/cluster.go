@@ -263,8 +263,8 @@ type lockedClock struct {
 }
 
 func (c lockedClock) Now() sim.Time { return c.inner.Now() }
-func (c lockedClock) AfterFunc(d sim.Time, name string, fn func(now sim.Time)) func() {
-	return c.inner.AfterFunc(d, name, func(now sim.Time) {
+func (c lockedClock) NewTimer(name string, fn func(now sim.Time)) sim.Timer {
+	return c.inner.NewTimer(name, func(now sim.Time) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		fn(now)
@@ -664,7 +664,7 @@ func (c *Cluster) addGPU(class GPUClass, coldStart time.Duration) (string, error
 		return id, nil
 	}
 	c.gpuState[id] = gpuProvisioning
-	c.activation[id] = c.clock.AfterFunc(coldStart, "cluster.gpuActivate "+id, func(at sim.Time) {
+	c.activation[id] = sim.AfterFunc(c.clock, coldStart, "cluster.gpuActivate "+id, func(at sim.Time) {
 		c.activate(id, at)
 	})
 	return id, nil
@@ -906,7 +906,7 @@ func (c *Cluster) failGPU(gpuID string, now sim.Time) {
 
 	if cc := c.cfg.Chaos; cc != nil && cc.MTTR > 0 {
 		if class, err := c.resolveClass(gpuType); err == nil {
-			c.clock.AfterFunc(sim.Time(cc.MTTR), "cluster.chaosRecover "+gpuID, func(at sim.Time) {
+			sim.AfterFunc(c.clock, sim.Time(cc.MTTR), "cluster.chaosRecover "+gpuID, func(at sim.Time) {
 				if _, err := c.addGPU(class, 0); err != nil {
 					panic(fmt.Sprintf("cluster: chaos recovery for %s: %v", gpuID, err))
 				}
@@ -1364,32 +1364,22 @@ func (c *Cluster) runScheduler(now sim.Time) {
 				}
 			}
 		}
-		if len(d.Batch) > 0 {
-			_, dropped, err := c.mgrByDev[d.GPU].ExecuteBatch(d.Req, d.Batch, d.GPU, now)
-			if err != nil {
-				// The whole launch failed (primary quota, impossible
-				// model): every member drops, like a single-dispatch
-				// failure.
-				c.dropRequest(d.Req.ID, err)
-				for _, m := range d.Batch {
-					c.dropRequest(m.ID, err)
-				}
-				continue
-			}
-			for _, m := range dropped {
-				c.dropRequest(m.ID, errBatchMemberQuota)
-			}
-			if c.seriesRec != nil {
-				c.obsInFlight += d.Members() - len(dropped)
+		_, dropped, err := c.mgrByDev[d.GPU].ExecuteBatch(d.Req, d.Batch, d.GPU, now)
+		if err != nil {
+			// A failed dispatch (quota, OOM-impossible model) drops every
+			// member of the launch; the paper's system returns an error
+			// to the user.
+			c.dropRequest(d.Req.ID, err)
+			for _, m := range d.Batch {
+				c.dropRequest(m.ID, err)
 			}
 			continue
 		}
-		if _, err := c.mgrByDev[d.GPU].Execute(d.Req, d.GPU, now); err != nil {
-			// A failed dispatch (quota, OOM-impossible model) drops the
-			// request; the paper's system returns an error to the user.
-			c.dropRequest(d.Req.ID, err)
-		} else if c.seriesRec != nil {
-			c.obsInFlight++
+		for _, m := range dropped {
+			c.dropRequest(m.ID, errBatchMemberQuota)
+		}
+		if c.seriesRec != nil {
+			c.obsInFlight += d.Members() - len(dropped)
 		}
 	}
 	// Linger (Config.BatchWait): when the scheduler held the queue head
@@ -1457,7 +1447,7 @@ func (c *Cluster) armBatchWake(at sim.Time) {
 	if d < 0 {
 		d = 0
 	}
-	c.clock.AfterFunc(d, "cluster.batchWake", func(now sim.Time) {
+	sim.AfterFunc(c.clock, d, "cluster.batchWake", func(now sim.Time) {
 		c.batchWakeArmed = false
 		c.runScheduler(now)
 	})

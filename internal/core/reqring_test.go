@@ -108,3 +108,42 @@ func TestReqRingVersionTracksCompaction(t *testing.T) {
 		t.Fatalf("tombstone-majority push did not compact (tombstones %d, buf %d)", q.tombstones(), len(q.buf))
 	}
 }
+
+// TestLocalQueueKeepsCapacity: a local queue that fills and drains over
+// and over must stop allocating once it has seen its peak depth, and a
+// popped entry must not keep its (arena-recycled) request reachable.
+func TestLocalQueueKeepsCapacity(t *testing.T) {
+	var q localQueue
+	reqs := []*Request{{ID: 1}, {ID: 2}, {ID: 3}}
+	cycle := func() {
+		for _, r := range reqs {
+			q.push(parked{req: r})
+		}
+		for i, r := range reqs {
+			if q.len() != len(reqs)-i {
+				t.Fatalf("len = %d before pop %d", q.len(), i)
+			}
+			if got := q.pop().req; got != r {
+				t.Fatalf("pop %d = req %d, want %d", i, got.ID, r.ID)
+			}
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("fill+drain allocates %.2f allocs/op, want 0", avg)
+	}
+	// A queue that never fully drains reuses its popped prefix too.
+	q.push(parked{req: reqs[0]})
+	if avg := testing.AllocsPerRun(100, func() {
+		q.push(parked{req: reqs[1]})
+		q.pop()
+	}); avg != 0 {
+		t.Errorf("steady push+pop allocates %.2f allocs/op, want 0", avg)
+	}
+	q.pop()
+	for i, p := range q.buf[:cap(q.buf)] {
+		if p.req != nil {
+			t.Errorf("drained queue still references req %d at buffer slot %d", p.req.ID, i)
+		}
+	}
+}

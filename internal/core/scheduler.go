@@ -275,6 +275,45 @@ type parked struct {
 	infer time.Duration
 }
 
+// localQueue is one GPU's FIFO of parked requests: a buffer and a head
+// cursor. Popping moves the cursor instead of re-slicing the buffer, so a
+// drained queue keeps its capacity for the next park, and the vacated
+// entry is zeroed so it stops pinning a recycled Request.
+type localQueue struct {
+	buf  []parked
+	head int
+}
+
+func (q *localQueue) len() int { return len(q.buf) - q.head }
+
+// items is the live queue in FIFO order, valid until the next push.
+func (q *localQueue) items() []parked { return q.buf[q.head:] }
+
+func (q *localQueue) push(p parked) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Reuse the popped prefix before growing.
+		q.truncate(copy(q.buf, q.buf[q.head:]))
+	}
+	q.buf = append(q.buf, p)
+}
+
+func (q *localQueue) pop() parked {
+	p := q.buf[q.head]
+	q.buf[q.head] = parked{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return p
+}
+
+// truncate keeps the first n entries of a queue whose live entries have
+// been compacted to the front of the buffer.
+func (q *localQueue) truncate(n int) {
+	clear(q.buf[n:])
+	q.buf, q.head = q.buf[:n], 0
+}
+
 // posList tracks the ascending absolute ring positions of one model's
 // queued requests. Pushes arrive in increasing position order (arrival
 // order); removals are arbitrary. Front removals advance a start cursor
@@ -355,7 +394,7 @@ type Scheduler struct {
 
 	// Ord-indexed per-GPU state, sized by the backend's OrdBound and
 	// grown lazily as elastic membership raises the bound.
-	local    [][]parked // local[o]: requests parked at GPU o
+	local    []localQueue // local[o]: requests parked at GPU o
 	localSum []time.Duration
 	draining bitset
 
@@ -483,7 +522,7 @@ const indexActivateLen = 64
 // membership only ever raises the bound).
 func (s *Scheduler) grow(bound Ord) {
 	for Ord(len(s.local)) < bound {
-		s.local = append(s.local, nil)
+		s.local = append(s.local, localQueue{})
 	}
 	for Ord(len(s.localSum)) < bound {
 		s.localSum = append(s.localSum, 0)
@@ -542,10 +581,10 @@ func (s *Scheduler) RemoveGPU(gpuID string) error {
 		return nil
 	}
 	s.syncBound()
-	if n := len(s.local[o]); n != 0 {
+	if n := s.local[o].len(); n != 0 {
 		return fmt.Errorf("core: removing GPU %s with %d parked requests", gpuID, n)
 	}
-	s.local[o] = nil
+	s.local[o] = localQueue{}
 	s.localSum[o] = 0
 	s.draining.clear(o)
 	return nil
@@ -622,15 +661,15 @@ func (s *Scheduler) Requeue(r *Request) error {
 // they re-enter the global queue without consuming a retry attempt.
 func (s *Scheduler) DrainLocal(gpuID string) []*Request {
 	o, ok := s.backend.OrdOf(gpuID)
-	if !ok || int(o) >= len(s.local) || len(s.local[o]) == 0 {
+	if !ok || int(o) >= len(s.local) || s.local[o].len() == 0 {
 		return nil
 	}
-	q := s.local[o]
+	q := s.local[o].items()
 	out := make([]*Request, len(q))
 	for i, p := range q {
 		out[i] = p.req
 	}
-	s.local[o] = nil
+	s.local[o] = localQueue{}
 	s.localSum[o] = 0
 	s.parkGen++
 	return out
@@ -750,14 +789,14 @@ func (s *Scheduler) LocalQueueLen(gpuID string) int {
 	if !ok || int(o) >= len(s.local) {
 		return 0
 	}
-	return len(s.local[o])
+	return s.local[o].len()
 }
 
 // PendingTotal returns all queued requests (global + local).
 func (s *Scheduler) PendingTotal() int {
 	n := s.global.len()
-	for _, q := range s.local {
-		n += len(q)
+	for i := range s.local {
+		n += s.local[i].len()
 	}
 	return n
 }
@@ -979,29 +1018,39 @@ func (s *Scheduler) coalesceLast() {
 // same-model requests (arrival order — the local queue is FIFO by
 // parking time), leaving other models parked in place.
 func (s *Scheduler) coalesceLocal(o Ord) {
-	if s.maxBatch <= 1 || len(s.local[o]) == 0 {
+	if s.maxBatch <= 1 || s.local[o].len() == 0 {
 		return
 	}
 	d := &s.out[len(s.out)-1]
 	model := d.Req.Model
 	batch := s.grabBatchSlice()
-	q := s.local[o]
+	// Compact the entries that stay parked to the front of the buffer.
+	lq := &s.local[o]
 	w := 0
-	for i, p := range q {
+	for _, p := range lq.items() {
 		if p.req.Model == model && 1+len(batch) < s.maxBatch {
 			batch = append(batch, p.req)
 			s.localSum[o] -= p.infer
 			continue
 		}
-		q[w] = q[i]
+		lq.buf[w] = p
 		w++
 	}
-	if w < len(q) {
-		clear(q[w:])
-		s.local[o] = q[:w]
+	if len(batch) > 0 {
 		s.parkGen++
 	}
+	lq.truncate(w)
 	s.finishBatch(d, batch)
+}
+
+// park appends a request to GPU o's local queue with its profiled
+// inference time there.
+func (s *Scheduler) park(o Ord, r *Request, infer time.Duration) {
+	s.local[o].push(parked{req: r, infer: infer})
+	if n := s.local[o].len(); n > s.peakLocal {
+		s.peakLocal = n
+	}
+	s.localSum[o] += infer
 }
 
 // grabBatchSlice returns a pooled zero-length member slice.
@@ -1036,9 +1085,8 @@ func (s *Scheduler) finishBatch(d *Dispatch, batch []*Request) {
 func (s *Scheduler) scheduleIdleGPU(o Ord, now sim.Time) bool {
 	n0 := len(s.out)
 	// Lines 2–4: prioritize the local queue.
-	if q := s.local[o]; len(q) > 0 {
-		p := q[0]
-		s.local[o] = q[1:]
+	if s.local[o].len() > 0 {
+		p := s.local[o].pop()
 		s.localSum[o] -= p.infer
 		s.parkGen++
 		s.markTaken(o)
@@ -1226,11 +1274,7 @@ func (s *Scheduler) llb(o Ord, pos int, now sim.Time) bool {
 		if best >= 0 && bestFinish < s.backend.LoadTime(o, r.Model) {
 			s.extract(pos)
 			infer := s.backend.InferTime(best, r.Model, r.BatchSize)
-			s.local[best] = append(s.local[best], parked{req: r, infer: infer})
-			if n := len(s.local[best]); n > s.peakLocal {
-				s.peakLocal = n
-			}
-			s.localSum[best] += infer
+			s.park(best, r, infer)
 			s.parkGen++
 			s.moves++
 			return false
@@ -1412,11 +1456,7 @@ func (s *Scheduler) llbScan(o Ord, pos int, now sim.Time) bool {
 		if best >= 0 && bestFinish < s.backend.LoadTime(o, r.Model) {
 			s.global.remove(pos)
 			infer := s.backend.InferTime(best, r.Model, r.BatchSize)
-			s.local[best] = append(s.local[best], parked{req: r, infer: infer})
-			if n := len(s.local[best]); n > s.peakLocal {
-				s.peakLocal = n
-			}
-			s.localSum[best] += infer
+			s.park(best, r, infer)
 			s.moves++
 			return false
 		}

@@ -1,8 +1,9 @@
 package experiments
 
 // Hot-path microbenchmarks for the BENCH snapshot: the discrete-event
-// engine's schedule+fire cycle and the scheduler's per-decision round.
-// These are the two loops every simulated request crosses several times,
+// engine's schedule+fire cycle, the scheduler's per-decision round and
+// the GPU manager's launch → completion cycle between them.
+// These are the loops every simulated request crosses, some several times,
 // so their ns/op and allocs/op gate how large a fleet / how long a trace
 // the experiment grids can sweep. faas-bench embeds the rows in the
 // gpufaas-bench/v1 snapshot next to the figure series, with the
@@ -15,8 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"gpufaas/internal/cache"
 	"gpufaas/internal/cluster"
 	"gpufaas/internal/core"
+	"gpufaas/internal/gpu"
+	"gpufaas/internal/gpumgr"
 	"gpufaas/internal/models"
 	"gpufaas/internal/multicell"
 	"gpufaas/internal/ordset"
@@ -122,6 +126,12 @@ func Hotpath() ([]HotpathRow, error) {
 	idxRow.fill(testing.Benchmark(func(b *testing.B) { scheduleRound1024(b, false) }))
 	rows = append(rows, idxRow)
 
+	// What the GPU manager adds to a dispatched request at the same fleet
+	// size: one cache-hit launch plus the engine event that completes it.
+	launchRow := HotpathRow{Name: "launch_complete/1024gpus"}
+	launchRow.fill(testing.Benchmark(launchComplete1024))
+	rows = append(rows, launchRow)
+
 	// The front-door routing decision at the 16-cell shard width: the
 	// per-request cost every multi-cell arrival pays once per cell
 	// worker (each worker replays the full stream through its private
@@ -169,6 +179,92 @@ func Hotpath() ([]HotpathRow, error) {
 	}))
 	rows = append(rows, replay)
 	return rows, nil
+}
+
+// ---- launch → completion cycle ----
+
+// launchMaxMembers is the largest launch a LaunchCycle dispatches.
+const launchMaxMembers = 8
+
+// LaunchCycle builds a sim-clock GPU manager over the given number of
+// GPUs, warms it (one model resident on every GPU, timers and launch
+// slots at their steady size) and returns the cycle that the
+// launch_complete row times and TestHotpathZeroAlloc pins at zero
+// allocations: dispatch one cache-hit launch of `members` requests
+// (1..8) on the next GPU, round-robin, and run the engine through its
+// completion.
+func LaunchCycle(gpus int) (cycle func(members int) error, err error) {
+	engine := sim.New()
+	zoo := models.Default()
+	cm, err := cache.NewManager(cache.PolicyLRU, func(model string) (int64, bool) {
+		m, ok := zoo.Get(model)
+		return m.OccupancyBytes(), ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := gpumgr.New(gpumgr.Config{
+		Node:     "bench",
+		Clock:    sim.SimClock{E: engine},
+		Cache:    cm,
+		Zoo:      zoo,
+		Profiles: models.TableProfiles(cluster.DefaultGPUType, zoo),
+	})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, gpus)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench/gpu%d", i)
+		dev, err := gpu.New(gpu.Config{ID: ids[i], Node: "bench", Type: cluster.DefaultGPUType, Capacity: cluster.DefaultGPUMemory})
+		if err != nil {
+			return nil, err
+		}
+		if err := mgr.AddDevice(dev); err != nil {
+			return nil, err
+		}
+	}
+	reqs := make([]*core.Request, launchMaxMembers)
+	for i := range reqs {
+		reqs[i] = &core.Request{ID: int64(i), Function: "bench", Model: "resnet18", BatchSize: 1}
+	}
+	next := 0
+	cycle = func(members int) error {
+		id := ids[next%len(ids)]
+		next++
+		now := engine.Now()
+		_, dropped, err := mgr.ExecuteBatch(reqs[0], reqs[1:members], id, now)
+		if err != nil || len(dropped) != 0 {
+			return fmt.Errorf("launch on %s: dropped %d, err %v", id, len(dropped), err)
+		}
+		engine.Run(0)
+		return nil
+	}
+	// Two passes at full width: the first loads the model everywhere, and
+	// completions hand result buffers from GPU to GPU, so it takes the
+	// second for every one of them to have reached full size.
+	for i := 0; i < 2*gpus; i++ {
+		if err := cycle(launchMaxMembers); err != nil {
+			return nil, err
+		}
+	}
+	return cycle, nil
+}
+
+// launchComplete1024 measures LaunchCycle's single-request cycle at the
+// scale round's fleet size.
+func launchComplete1024(b *testing.B) {
+	cycle, err := LaunchCycle(roundFleet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cycle(1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ---- 1024-GPU scheduling round ----

@@ -12,6 +12,11 @@ func BenchmarkScheduleRound1024(b *testing.B) { scheduleRound1024(b, false) }
 // BenchmarkScheduleRound1024Scan is the reference scan baseline.
 func BenchmarkScheduleRound1024Scan(b *testing.B) { scheduleRound1024(b, true) }
 
+// BenchmarkLaunchComplete1024 measures what the GPU manager adds to a
+// dispatched request at the same fleet size: one cache-hit launch plus the
+// engine event that completes it (the launch_complete/1024gpus row).
+func BenchmarkLaunchComplete1024(b *testing.B) { launchComplete1024(b) }
+
 // BenchmarkStreamingReplay replays the 64-GPU / 6-minute scale cell end
 // to end through trace.ArrivalStream + cluster.RunWorkloadStream — the
 // full O(in-flight) pipeline, reported as requests simulated per second

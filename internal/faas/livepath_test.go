@@ -10,8 +10,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpufaas/internal/cluster"
+	"gpufaas/internal/core"
+	"gpufaas/internal/gpumgr"
+	"gpufaas/internal/models"
+	"gpufaas/internal/sim"
 )
 
 // testAdmitGateway builds a single-cell gateway with admission control.
@@ -482,6 +489,47 @@ func TestInferenceHandlerAllocs(t *testing.T) {
 	}
 }
 
+// TestPredictAllocs bounds what the live control plane under a warm
+// Predict leaves on the heap: client lock and arena, Cluster.Submit, the
+// scheduling round, the GPU manager's launch into the GPU's resident slot,
+// its re-armed completion timer, Route. Nothing in that path allocates per
+// call; the bound leaves room for a map or pool refill. A per-launch
+// closure, Result copy or timer would each put it past the bound.
+func TestPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	zoo := models.Default()
+	clock := sim.NewRealClock()
+	var ic *InferenceClient
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes, cfg.GPUsPerNode = 1, 8
+	cfg.Zoo = zoo
+	cfg.Profiles = ScaledProfiles(zoo, cluster.DefaultGPUType, 1e-6)
+	cfg.Clock = clock
+	cfg.OnResult = func(res gpumgr.Result) { ic.Route(res) }
+	cfg.OnDrop = func(id int64, err error) { ic.Drop(id, err) }
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic = NewInferenceClient(c, clock, time.Minute)
+	spec := FunctionSpec{Name: "fn", Model: "resnet18"}
+	predict := func() {
+		if res, err := ic.Predict(spec, 1); err != nil || res.Model != spec.Model {
+			t.Fatalf("predict: %+v, %v", res, err)
+		}
+	}
+	// Past the model load and the first use of the GPU's timers, and short
+	// of the next growth of the cluster's latency sample (room for 4096).
+	for i := 0; i < 64; i++ {
+		predict()
+	}
+	if avg := testing.AllocsPerRun(200, predict); avg > 2 {
+		t.Errorf("warm Predict allocs/op = %.2f, want <= 2", avg)
+	}
+}
+
 // TestConcurrentPredictNeverOutOfOrder: Predict stamps the arrival before
 // taking the client lock and submits after releasing it, so concurrent
 // callers reach the scheduler in a different order than their stamps.
@@ -575,4 +623,53 @@ func BenchmarkGatewayInvokeParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestFailGPURacesCompletionTimer: on the wall clock a launch's completion
+// can already be running on its timer goroutine, waiting for the cluster
+// lock, when FailGPU interrupts that launch and removes the device — the
+// timer can no longer be stopped. The late firing must find nothing to
+// complete (it used to complete the interrupted launch on the idle device
+// and panic on a goroutine nobody can recover), and every request must
+// still end exactly once: completed, or dropped when its retries run out.
+func TestFailGPURacesCompletionTimer(t *testing.T) {
+	zoo := models.Default()
+	var completed, dropped atomic.Int64
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes, cfg.GPUsPerNode = 1, 4
+	cfg.Zoo = zoo
+	// Microsecond launches: the timers expire while FailGPU holds the lock.
+	cfg.Profiles = ScaledProfiles(zoo, cluster.DefaultGPUType, 1e-6)
+	clock := sim.NewRealClock()
+	cfg.Clock = clock
+	cfg.Retry = core.RetryPolicy{MaxAttempts: 5}
+	cfg.OnResult = func(gpumgr.Result) { completed.Add(1) }
+	cfg.OnDrop = func(int64, error) { dropped.Add(1) }
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submitted int64
+	for round := 0; round < 300; round++ {
+		for i := 0; i < 8; i++ {
+			submitted++
+			req := &core.Request{ID: submitted, Model: "resnet18", BatchSize: 1, Arrival: clock.Now()}
+			if err := c.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := c.GPUIDs()
+		if err := c.FailGPU(ids[round%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddGPU("", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); completed.Load()+dropped.Load() < submitted && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if c, d := completed.Load(), dropped.Load(); c+d != submitted {
+		t.Errorf("completed %d + dropped %d != submitted %d", c, d, submitted)
+	}
 }

@@ -249,12 +249,12 @@ func seedFor(model string) int64 {
 // completion or drop routes back — the GPU manager copies every request
 // field into the Result at dispatch, so nothing references the object
 // after that), and the per-call outcome channels and timeout timers
-// recycle through sync.Pools. In steady state the client itself adds no
-// allocation to a Predict; the ~8 objects the benchmark counts per call
-// (faas.predict_allocs on live-predict) come from the launch path under it
-// — Cluster.Submit's scheduling round, the GPU manager's launch and its
-// completion timer (cluster.submit_allocs ≈ 9) — which is the next layer
-// to attack.
+// recycle through sync.Pools. In steady state neither the client nor the
+// launch path under it — Cluster.Submit's scheduling round, the GPU
+// manager's launch into the GPU's resident slot, its re-armed completion
+// timer — allocates: the benchmark counts 0 objects per warm Predict
+// (faas.predict_allocs and cluster.submit_allocs on live-predict, from 8
+// and 9), and TestPredictAllocs bounds it at 2.
 type InferenceClient struct {
 	cells   []*cluster.Cluster
 	router  *multicell.Router // nil: everything goes to cells[0]

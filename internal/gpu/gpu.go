@@ -89,7 +89,8 @@ type Device struct {
 	phase      Phase
 	phaseSince sim.Time
 	accum      [3]time.Duration
-	inflight   *Inflight
+	busy       bool
+	inflight   Inflight // valid while busy
 
 	completed int64
 }
@@ -144,17 +145,17 @@ func (d *Device) MemUsed() int64 { return d.memUsed }
 func (d *Device) MemFree() int64 { return d.capacity - d.memUsed }
 
 // Busy reports whether a request is executing.
-func (d *Device) Busy() bool { return d.inflight != nil }
+func (d *Device) Busy() bool { return d.busy }
 
 // Phase returns the current activity phase.
 func (d *Device) Phase() Phase { return d.phase }
 
 // Inflight returns a copy of the in-flight descriptor, or false when idle.
 func (d *Device) Inflight() (Inflight, bool) {
-	if d.inflight == nil {
+	if !d.busy {
 		return Inflight{}, false
 	}
-	return *d.inflight, true
+	return d.inflight, true
 }
 
 // Completed returns the number of requests finished on this device.
@@ -210,7 +211,7 @@ func (d *Device) Evict(model string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNotResident, model, d.id)
 	}
-	if d.inflight != nil && d.inflight.Model == model {
+	if d.busy && d.inflight.Model == model {
 		return fmt.Errorf("%w: %s on %s", ErrInUse, model, d.id)
 	}
 	delete(d.resident, model)
@@ -232,7 +233,7 @@ func (d *Device) setPhase(p Phase, now sim.Time) {
 // cache miss; zero means a cache hit that reuses the warm process. The
 // device is busy until now+loadTime+inferTime.
 func (d *Device) Begin(reqID int64, model string, loadTime, inferTime time.Duration, now sim.Time) (finishAt sim.Time, err error) {
-	if d.inflight != nil {
+	if d.busy {
 		return 0, fmt.Errorf("%w: %s already runs req %d", ErrBusy, d.id, d.inflight.ReqID)
 	}
 	if _, ok := d.resident[model]; !ok {
@@ -243,7 +244,8 @@ func (d *Device) Begin(reqID int64, model string, loadTime, inferTime time.Durat
 	}
 	loadUntil := now + loadTime
 	finishAt = loadUntil + inferTime
-	d.inflight = &Inflight{ReqID: reqID, Model: model, Start: now, FinishAt: finishAt, LoadUntil: loadUntil}
+	d.busy = true
+	d.inflight = Inflight{ReqID: reqID, Model: model, Start: now, FinishAt: finishAt, LoadUntil: loadUntil}
 	if loadTime > 0 {
 		d.setPhase(Loading, now)
 	} else {
@@ -255,7 +257,7 @@ func (d *Device) Begin(reqID int64, model string, loadTime, inferTime time.Durat
 // LoadDone transitions a loading device to the inferring phase. The GPU
 // Manager calls it when the upload completes.
 func (d *Device) LoadDone(now sim.Time) error {
-	if d.inflight == nil {
+	if !d.busy {
 		return ErrIdle
 	}
 	if d.phase != Loading {
@@ -273,18 +275,17 @@ func (d *Device) LoadDone(now sim.Time) error {
 // count only finished work. The descriptor is returned so the caller
 // (cluster failure path) can re-queue or fail the member requests.
 func (d *Device) Interrupt(now sim.Time) (Inflight, error) {
-	if d.inflight == nil {
+	if !d.busy {
 		return Inflight{}, ErrIdle
 	}
-	fin := *d.inflight
-	d.inflight = nil
+	d.busy = false
 	d.setPhase(Idle, now)
-	return fin, nil
+	return d.inflight, nil
 }
 
 // Complete finishes the in-flight request, returning the device to idle.
 func (d *Device) Complete(now sim.Time) (Inflight, error) {
-	if d.inflight == nil {
+	if !d.busy {
 		return Inflight{}, ErrIdle
 	}
 	if d.phase == Loading {
@@ -292,21 +293,17 @@ func (d *Device) Complete(now sim.Time) (Inflight, error) {
 		// LoadDone before Complete. Tolerate exact coincidence.
 		d.setPhase(Inferring, now)
 	}
-	fin := *d.inflight
-	d.inflight = nil
+	d.busy = false
 	d.completed++
 	d.setPhase(Idle, now)
-	d.loadedAt[fin.Model] = now
-	return fin, nil
+	d.loadedAt[d.inflight.Model] = now
+	return d.inflight, nil
 }
 
 // EstimatedFinish returns when the in-flight request will complete; zero
 // duration when idle. This feeds the LALB finish-time comparison.
 func (d *Device) EstimatedFinish(now sim.Time) time.Duration {
-	if d.inflight == nil {
-		return 0
-	}
-	if d.inflight.FinishAt <= now {
+	if !d.busy || d.inflight.FinishAt <= now {
 		return 0
 	}
 	return time.Duration(d.inflight.FinishAt - now)
@@ -361,7 +358,7 @@ func (d *Device) CheckInvariants() error {
 	if d.memUsed > d.capacity {
 		return fmt.Errorf("gpu: over capacity: %d > %d", d.memUsed, d.capacity)
 	}
-	if d.inflight != nil {
+	if d.busy {
 		if _, ok := d.resident[d.inflight.Model]; !ok {
 			return fmt.Errorf("gpu: in-flight model %s not resident", d.inflight.Model)
 		}

@@ -6,8 +6,16 @@
 // Cache Manager; on a miss it kills victim processes (evicting their
 // models), starts a fresh GPU process, and uploads the model (the Loading
 // phase); it then runs the inference and reports the completion with
-// measured latency. One request executes at a time per GPU, and the model
-// serving an in-flight request is pinned against eviction.
+// measured latency. One launch executes at a time per GPU, and the model
+// serving it is pinned against eviction.
+//
+// That one-at-a-time rule is also the manager's memory model. A GPU can
+// hold at most one live launch, so each managed GPU owns one resident
+// launch slot that a dispatch fills in place; a single request is a batch
+// of one, and launch, completion and interrupt are one code path each.
+// The slot is valid from the dispatch until the launch's completion or
+// interrupt; Results leave it by value, so StatusSink and OnComplete
+// callbacks hold nothing of the manager's once they return.
 //
 // The manager also implements the §VI multi-tenancy isolation hooks:
 // per-tenant limits on concurrent GPU processes and cumulative GPU time.
@@ -64,8 +72,8 @@ type Result struct {
 	LoadTime     time.Duration
 	InferTime    time.Duration
 	// BatchMembers is the number of requests coalesced into the launch
-	// that produced this result; 0 marks the legacy single-dispatch
-	// path (Execute), whose results are bit-identical to builds without
+	// that produced this result; 0 marks a dispatch without extras
+	// (Execute), whose results are bit-identical to builds without
 	// batching. Every member of one batched launch reports the same
 	// FinishedAt, LoadTime and InferTime — the launch's wall times — so
 	// the queue+load+infer latency decomposition stays additive.
@@ -73,8 +81,8 @@ type Result struct {
 	// InferShare is this request's attributed slice of the batched
 	// inference time: the launch overhead plus its own inputs for the
 	// primary, the marginal per-input cost for coalesced members.
-	// Shares sum exactly to InferTime across the batch. Zero on the
-	// single-dispatch path (callers treat that as InferTime).
+	// Shares sum exactly to InferTime across the batch. Zero on a
+	// dispatch without extras (callers treat that as InferTime).
 	InferShare time.Duration
 }
 
@@ -122,35 +130,29 @@ type GPURemovalSink interface {
 
 // Manager manages the GPUs of one node. Not safe for concurrent use; the
 // cluster serializes access (event loop in sim mode, mutex in live mode).
+//
+// Everything the manager knows about one GPU lives in one record (device),
+// found by a single lookup per dispatch. Because a GPU runs one launch at
+// a time, the record holds that launch resident: a dispatch fills the
+// member and result slices in place, re-arms the record's two timers and
+// allocates nothing; completion hands each member's Result to the sink
+// and OnComplete by value. Those callbacks may start the next launch on
+// the same GPU (the cluster's scheduler does), so the finishing launch's
+// results are detached from the record before the first one runs.
 type Manager struct {
 	node     string
 	clock    sim.Clock
-	devices  map[string]*gpu.Device
+	devs     map[string]*device
 	order    []string
 	cacheMgr *cache.Manager
 	zoo      *models.Zoo
 	profiles *models.ProfileStore
 	sink     StatusSink
 
-	nextPID   int64
-	processes map[string]map[string]*Process // gpuID -> model -> process
-	// devOrd caches each device's dense registration ordinal (assigned
-	// by the Cache Manager at registration), so the per-dispatch
-	// hit/miss resolution is an ord-indexed lookup instead of hashing
-	// the GPU ID.
-	devOrd map[string]cache.Ord
-
-	// inflights tracks the live launch per busy GPU — the member
-	// requests and pending clock callbacks — so a device failure can
-	// interrupt the launch and hand the members back for retry. Records
-	// are pooled (flFree) to keep the steady dispatch path
-	// allocation-free.
-	inflights map[string]*inflightLaunch
-	flFree    []*inflightLaunch
-
-	// slowdown holds the transient straggler factor per GPU (> 1 means
-	// slower); applied to load and inference times at dispatch.
-	slowdown map[string]float64
+	nextPID int64
+	// spare is the result buffer a completing launch leaves behind; the
+	// next completion swaps it into its device.
+	spare []Result
 
 	quotas map[string]Quota
 	usage  map[string]*tenantUsage
@@ -158,15 +160,38 @@ type Manager struct {
 	onComplete func(res Result)
 }
 
-// inflightLaunch records one live launch: member requests primary
-// first, the dispatch instant for exactly-once GPU-time attribution,
-// and the cancel handles for the load-done and completion callbacks.
-type inflightLaunch struct {
-	members      []*core.Request
-	tenant       string
-	dispatchedAt sim.Time
-	cancelLoad   func()
-	cancelDone   func()
+// device is the manager's record of one GPU: the device, its cache
+// ordinal (so hit/miss resolution indexes instead of hashing the ID), the
+// transient straggler factor, the live processes, and the launch slot.
+type device struct {
+	dev      *gpu.Device
+	ord      cache.Ord
+	slowdown float64            // > 1 while a straggler window is open
+	procs    map[string]Process // model -> process; made by the first load
+
+	// The launch slot, meaningful while dev.Busy(): member requests
+	// primary first and their results, index-aligned. The device's own
+	// Inflight holds the launch's deadlines.
+	members []*core.Request
+	results []Result
+	// The timers are created by the first launch that needs them and
+	// re-armed by every later one.
+	loadTimer, doneTimer sim.Timer
+}
+
+// scale applies the straggler factor to a service time.
+func (d *device) scale(t time.Duration) time.Duration {
+	if d.slowdown > 1 {
+		return time.Duration(float64(t) * d.slowdown)
+	}
+	return t
+}
+
+// clearLaunch empties the slot, dropping the member references.
+func (d *device) clearLaunch() {
+	clear(d.members)
+	d.members = d.members[:0]
+	d.results = d.results[:0]
 }
 
 // Config assembles a Manager.
@@ -200,15 +225,11 @@ func New(cfg Config) (*Manager, error) {
 	return &Manager{
 		node:       cfg.Node,
 		clock:      cfg.Clock,
-		devices:    make(map[string]*gpu.Device),
+		devs:       make(map[string]*device),
 		cacheMgr:   cfg.Cache,
 		zoo:        cfg.Zoo,
 		profiles:   cfg.Profiles,
 		sink:       cfg.Sink,
-		processes:  make(map[string]map[string]*Process),
-		devOrd:     make(map[string]cache.Ord),
-		inflights:  make(map[string]*inflightLaunch),
-		slowdown:   make(map[string]float64),
 		quotas:     make(map[string]Quota),
 		usage:      make(map[string]*tenantUsage),
 		onComplete: cfg.OnComplete,
@@ -220,7 +241,7 @@ func (m *Manager) Node() string { return m.node }
 
 // AddDevice registers a GPU with the manager and the Cache Manager.
 func (m *Manager) AddDevice(d *gpu.Device) error {
-	if _, dup := m.devices[d.ID()]; dup {
+	if _, dup := m.devs[d.ID()]; dup {
 		return fmt.Errorf("gpumgr: device %s already added", d.ID())
 	}
 	if err := m.cacheMgr.RegisterGPU(d.ID()); err != nil {
@@ -232,10 +253,8 @@ func (m *Manager) AddDevice(d *gpu.Device) error {
 		// than letting a zero-valued ordinal alias device 0's residency.
 		return fmt.Errorf("gpumgr: no ordinal assigned for %s", d.ID())
 	}
-	m.devOrd[d.ID()] = o
-	m.devices[d.ID()] = d
+	m.devs[d.ID()] = &device{dev: d, ord: o}
 	m.order = append(m.order, d.ID())
-	m.processes[d.ID()] = make(map[string]*Process)
 	return nil
 }
 
@@ -245,25 +264,22 @@ func (m *Manager) AddDevice(d *gpu.Device) error {
 // device from the manager and deregisters it from the Cache Manager. The
 // device must be idle — the cluster drains in-flight work first.
 func (m *Manager) RemoveDevice(gpuID string, now sim.Time) error {
-	dev, ok := m.devices[gpuID]
+	d, ok := m.devs[gpuID]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownDevice, gpuID)
 	}
-	if dev.Busy() {
+	if d.dev.Busy() {
 		return fmt.Errorf("gpumgr: device %s busy, drain before removal", gpuID)
 	}
-	for _, model := range dev.ResidentModels() {
-		if err := m.killProcess(gpuID, model, now); err != nil {
+	for _, model := range d.dev.ResidentModels() {
+		if err := m.killProcess(d, model, now); err != nil {
 			return err
 		}
 	}
 	if err := m.cacheMgr.UnregisterGPU(gpuID); err != nil {
 		return err
 	}
-	delete(m.devices, gpuID)
-	delete(m.processes, gpuID)
-	delete(m.devOrd, gpuID)
-	delete(m.slowdown, gpuID)
+	delete(m.devs, gpuID)
 	if i := slices.Index(m.order, gpuID); i >= 0 {
 		m.order = slices.Delete(m.order, i, i+1)
 	}
@@ -272,8 +288,11 @@ func (m *Manager) RemoveDevice(gpuID string, now sim.Time) error {
 
 // Device returns the device by ID.
 func (m *Manager) Device(id string) (*gpu.Device, bool) {
-	d, ok := m.devices[id]
-	return d, ok
+	d, ok := m.devs[id]
+	if !ok {
+		return nil, false
+	}
+	return d.dev, true
 }
 
 // DeviceIDs returns the managed GPU IDs in registration order.
@@ -289,10 +308,13 @@ func (m *Manager) SetQuota(tenant string, q Quota) { m.quotas[tenant] = q }
 // Processes returns the live processes on a GPU, sorted by model for
 // determinism.
 func (m *Manager) Processes(gpuID string) []Process {
-	byModel := m.processes[gpuID]
-	out := make([]Process, 0, len(byModel))
-	for _, p := range byModel {
-		out = append(out, *p)
+	d, ok := m.devs[gpuID]
+	if !ok {
+		return nil
+	}
+	out := make([]Process, 0, len(d.procs))
+	for _, p := range d.procs {
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out
@@ -313,62 +335,17 @@ func (m *Manager) tenantUsageFor(tenant string) *tenantUsage {
 // and inference both); the launch already in flight keeps its original
 // times — a window affects dispatches, not running kernels.
 func (m *Manager) SetSlowdown(gpuID string, factor float64) {
-	if factor <= 1 {
-		delete(m.slowdown, gpuID)
-		return
+	if d, ok := m.devs[gpuID]; ok {
+		d.slowdown = factor
 	}
-	m.slowdown[gpuID] = factor
 }
 
 // Slowdown returns the active straggler factor for a GPU (1 when none).
 func (m *Manager) Slowdown(gpuID string) float64 {
-	if f, ok := m.slowdown[gpuID]; ok {
-		return f
+	if d, ok := m.devs[gpuID]; ok && d.slowdown > 1 {
+		return d.slowdown
 	}
 	return 1
-}
-
-// scaleTime applies the device's straggler factor to a service time.
-func (m *Manager) scaleTime(gpuID string, d time.Duration) time.Duration {
-	if f, ok := m.slowdown[gpuID]; ok {
-		return time.Duration(float64(d) * f)
-	}
-	return d
-}
-
-// trackLaunch records the launch the device just began, reusing a
-// pooled record so steady-state dispatch stays allocation-free.
-func (m *Manager) trackLaunch(gpuID string, primary *core.Request, extras []*core.Request, cancelLoad, cancelDone func(), now sim.Time) {
-	var fl *inflightLaunch
-	if n := len(m.flFree); n > 0 {
-		fl = m.flFree[n-1]
-		m.flFree = m.flFree[:n-1]
-	} else {
-		fl = &inflightLaunch{}
-	}
-	fl.members = append(fl.members[:0], primary)
-	fl.members = append(fl.members, extras...)
-	fl.tenant = primary.Tenant
-	fl.dispatchedAt = now
-	fl.cancelLoad = cancelLoad
-	fl.cancelDone = cancelDone
-	m.inflights[gpuID] = fl
-}
-
-// releaseLaunch drops the launch record after completion or interrupt.
-func (m *Manager) releaseLaunch(gpuID string) {
-	fl := m.inflights[gpuID]
-	if fl == nil {
-		return
-	}
-	delete(m.inflights, gpuID)
-	for i := range fl.members {
-		fl.members[i] = nil
-	}
-	fl.members = fl.members[:0]
-	fl.cancelLoad = nil
-	fl.cancelDone = nil
-	m.flFree = append(m.flFree, fl)
 }
 
 // Interrupt aborts the in-flight launch on a failed GPU. Both pending
@@ -383,30 +360,26 @@ func (m *Manager) releaseLaunch(gpuID string) {
 // removes the device outright and GPURemovalSink handles datastore
 // cleanup.
 func (m *Manager) Interrupt(gpuID string, now sim.Time) ([]*core.Request, sim.Time, error) {
-	dev, ok := m.devices[gpuID]
+	d, ok := m.devs[gpuID]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownDevice, gpuID)
 	}
-	fl := m.inflights[gpuID]
-	if fl == nil {
+	if !d.dev.Busy() {
 		return nil, 0, nil
 	}
-	if fl.cancelLoad != nil {
-		fl.cancelLoad()
+	if d.loadTimer != nil {
+		d.loadTimer.Stop()
 	}
-	if fl.cancelDone != nil {
-		fl.cancelDone()
-	}
-	if _, err := dev.Interrupt(now); err != nil {
+	d.doneTimer.Stop()
+	if _, err := d.dev.Interrupt(now); err != nil {
 		return nil, 0, err
 	}
 	m.cacheMgr.Pin(gpuID, "")
-	u := m.tenantUsageFor(fl.tenant)
-	u.gpuTime += time.Duration(now - fl.dispatchedAt)
-	members := make([]*core.Request, len(fl.members))
-	copy(members, fl.members)
-	startedAt := fl.dispatchedAt
-	m.releaseLaunch(gpuID)
+	primary := &d.results[0]
+	m.tenantUsageFor(primary.Tenant).gpuTime += time.Duration(now - primary.DispatchedAt)
+	members := slices.Clone(d.members)
+	startedAt := primary.DispatchedAt
+	d.clearLaunch()
 	return members, startedAt, nil
 }
 
@@ -430,108 +403,29 @@ func (m *Manager) checkQuota(tenant string, gpuTime time.Duration, newProcess bo
 	return nil
 }
 
-// Execute runs a scheduler dispatch on one of this node's GPUs. It
-// resolves hit/miss against the Cache Manager, performs evictions (killing
-// victim processes), starts the GPU process on a miss, begins execution on
-// the device, and schedules the load-done and completion callbacks on the
-// clock. The returned hit flag is the actual outcome (it can differ from
-// the scheduler's expectation if the model was evicted after the decision,
-// which the harness tolerates).
+// Execute runs a single-request dispatch: ExecuteBatch with no extras.
 func (m *Manager) Execute(req *core.Request, gpuID string, now sim.Time) (hit bool, err error) {
-	dev, ok := m.devices[gpuID]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownDevice, gpuID)
-	}
-	mdl, ok := m.zoo.Get(req.Model)
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownModel, req.Model)
-	}
-	prof, ok := m.profiles.Get(dev.Type(), mdl.Name)
-	if !ok {
-		return false, fmt.Errorf("%w: %s on %s", ErrNoProfile, mdl.Name, dev.Type())
-	}
-
-	hit = m.cacheMgr.CachedOrd(m.devOrd[gpuID], mdl.Name)
-	inferTime := m.scaleTime(gpuID, prof.InferTime(req.BatchSize))
-	loadTime := time.Duration(0)
-	if !hit {
-		loadTime = m.scaleTime(gpuID, prof.LoadTime)
-	}
-	newProcess := !hit
-	if err := m.checkQuota(req.Tenant, loadTime+inferTime, newProcess, mdl.OccupancyBytes()); err != nil {
-		return hit, err
-	}
-
-	falseMiss := false
-	if hit {
-		if err := m.cacheMgr.OnHit(gpuID, mdl.Name, now); err != nil {
-			return true, err
-		}
-	} else {
-		// Resolve false-miss attribution before OnMiss inserts the model
-		// here (mirroring the Cache Manager's own aggregate counter).
-		falseMiss = m.cacheMgr.CachedAnywhere(mdl.Name)
-		victims, err := m.cacheMgr.Victims(dev, mdl.OccupancyBytes())
-		if err != nil {
-			return false, err
-		}
-		for _, v := range victims {
-			if err := m.killProcess(gpuID, v, now); err != nil {
-				return false, err
-			}
-		}
-		if err := dev.Admit(mdl.Name, mdl.OccupancyBytes(), now); err != nil {
-			return false, err
-		}
-		if err := m.cacheMgr.OnMiss(gpuID, mdl.Name, now); err != nil {
-			return false, err
-		}
-		m.startProcess(gpuID, mdl.Name, req.Tenant, now)
-	}
-
-	finishAt, err := dev.Begin(req.ID, mdl.Name, loadTime, inferTime, now)
-	if err != nil {
-		return hit, err
-	}
-	m.cacheMgr.Pin(gpuID, mdl.Name)
-	if m.sink != nil {
-		m.sink.GPUStatus(gpuID, true, now)
-	}
-
-	res := Result{
-		ReqID:        req.ID,
-		Function:     req.Function,
-		Model:        mdl.Name,
-		GPU:          gpuID,
-		Tenant:       req.Tenant,
-		Hit:          hit,
-		FalseMiss:    falseMiss,
-		Arrival:      req.Arrival,
-		DispatchedAt: now,
-		FinishedAt:   finishAt,
-		LoadTime:     loadTime,
-		InferTime:    inferTime,
-	}
-	var cancelLoad func()
-	if loadTime > 0 {
-		cancelLoad = m.clock.AfterFunc(loadTime, "gpumgr.loadDone "+gpuID, func(at sim.Time) {
-			// Ignore error: in live mode a completion race can make
-			// this a no-op.
-			_ = dev.LoadDone(at)
-		})
-	}
-	cancelDone := m.clock.AfterFunc(time.Duration(finishAt-now), "gpumgr.complete "+gpuID, func(at sim.Time) {
-		m.complete(dev, res, at)
-	})
-	m.trackLaunch(gpuID, req, nil, cancelLoad, cancelDone, now)
-	return hit, nil
+	hit, _, err = m.ExecuteBatch(req, nil, gpuID, now)
+	return hit, err
 }
 
-// ExecuteBatch runs a coalesced scheduler dispatch — the primary request
-// plus the same-model extras the scheduler drained behind it — as ONE
-// launch on the GPU: one hit/miss resolution, one model load on a miss,
-// one batched inference sized by the members' summed inputs, one
-// completion that finishes every member at the same instant.
+// inputs is a request's input count as the profiles see it.
+func inputs(r *core.Request) int {
+	if r.BatchSize <= 0 {
+		return 1
+	}
+	return r.BatchSize
+}
+
+// ExecuteBatch runs a scheduler dispatch — the primary request plus the
+// same-model extras the scheduler drained behind it, if any — as ONE
+// launch on the GPU: one hit/miss resolution against the Cache Manager,
+// evictions (killing victim processes) and one model load on a miss, one
+// inference sized by the members' summed inputs, and one completion that
+// finishes every member at the same instant, scheduled on the clock with
+// the load-done callback ahead of it. The returned hit flag is the actual
+// outcome (it can differ from the scheduler's expectation if the model
+// was evicted after the decision, which the harness tolerates).
 //
 // Cache-metric semantics: a batched launch counts as one cache access
 // (one OnHit or OnMiss), because it is one model activation — hit/miss
@@ -545,13 +439,14 @@ func (m *Manager) Execute(req *core.Request, gpuID string, now sim.Time) (hit bo
 // returned in dropped — the caller fails it like a dispatch error; a
 // primary quota failure fails the whole call before any state changes.
 //
-// With no extras the call is exactly Execute.
+// A dispatch without extras reports BatchMembers 0 and InferShare 0 (the
+// whole InferTime is the primary's), as builds without batching did.
+//
+// now is the dispatch instant on the manager's clock and must not be
+// ahead of it: the launch is due at now + load + inference, and a timer
+// firing before that instant is taken for a stale one.
 func (m *Manager) ExecuteBatch(req *core.Request, extras []*core.Request, gpuID string, now sim.Time) (hit bool, dropped []*core.Request, err error) {
-	if len(extras) == 0 {
-		hit, err = m.Execute(req, gpuID, now)
-		return hit, nil, err
-	}
-	dev, ok := m.devices[gpuID]
+	d, ok := m.devs[gpuID]
 	if !ok {
 		return false, nil, fmt.Errorf("%w: %s", ErrUnknownDevice, gpuID)
 	}
@@ -559,153 +454,170 @@ func (m *Manager) ExecuteBatch(req *core.Request, extras []*core.Request, gpuID 
 	if !ok {
 		return false, nil, fmt.Errorf("%w: %s", ErrUnknownModel, req.Model)
 	}
-	prof, ok := m.profiles.Get(dev.Type(), mdl.Name)
+	prof, ok := m.profiles.Get(d.dev.Type(), mdl.Name)
 	if !ok {
-		return false, nil, fmt.Errorf("%w: %s on %s", ErrNoProfile, mdl.Name, dev.Type())
+		return false, nil, fmt.Errorf("%w: %s on %s", ErrNoProfile, mdl.Name, d.dev.Type())
 	}
 	for _, r := range extras {
 		if r.Model != req.Model {
 			return false, nil, fmt.Errorf("gpumgr: batch mixes models %s and %s", req.Model, r.Model)
 		}
 	}
+	if fl, busy := d.dev.Inflight(); busy {
+		// The slot below belongs to that launch.
+		return false, nil, fmt.Errorf("%w: %s already runs req %d", gpu.ErrBusy, gpuID, fl.ReqID)
+	}
 
-	hit = m.cacheMgr.CachedOrd(m.devOrd[gpuID], mdl.Name)
+	hit = m.cacheMgr.CachedOrd(d.ord, mdl.Name)
 	loadTime := time.Duration(0)
 	if !hit {
-		loadTime = m.scaleTime(gpuID, prof.LoadTime)
+		loadTime = d.scale(prof.LoadTime)
 	}
-	newProcess := !hit
-
 	// Primary pays the single-request cost (launch overhead + own
 	// inputs) plus the load; each extra pays only the marginal slope
 	// cost of its inputs. The shares sum exactly to the batched
 	// inference time, so quota charges equal GPU time consumed. A
 	// straggler factor scales the whole launch, marginal costs
 	// included, so the decomposition keeps summing exactly.
-	primaryInfer := m.scaleTime(gpuID, prof.InferTime(req.BatchSize))
-	if err := m.checkQuota(req.Tenant, loadTime+primaryInfer, newProcess, mdl.OccupancyBytes()); err != nil {
+	if err := m.checkQuota(req.Tenant, loadTime+d.scale(prof.InferTime(req.BatchSize)), !hit, mdl.OccupancyBytes()); err != nil {
 		return hit, nil, err
 	}
-	marginal := func(batch int) time.Duration {
-		if batch <= 0 {
-			batch = 1
-		}
-		return m.scaleTime(gpuID, time.Duration(prof.InferFit.Beta*float64(batch)*float64(time.Second)))
-	}
-	members := make([]*core.Request, 0, 1+len(extras))
-	members = append(members, req)
-	var shares []time.Duration
-	shares = append(shares, 0) // primary's share is the remainder, below
+	d.members = append(d.members[:0], req)
+	d.results = append(d.results[:0], Result{ReqID: req.ID, Function: req.Function, Tenant: req.Tenant, Arrival: req.Arrival})
+	totalInputs := inputs(req)
 	for _, r := range extras {
-		cost := marginal(r.BatchSize)
+		cost := d.scale(time.Duration(prof.InferFit.Beta * float64(inputs(r)) * float64(time.Second)))
 		if err := m.checkQuota(r.Tenant, cost, false, 0); err != nil {
 			dropped = append(dropped, r)
 			continue
 		}
-		members = append(members, r)
-		shares = append(shares, cost)
+		d.members = append(d.members, r)
+		d.results = append(d.results, Result{ReqID: r.ID, Function: r.Function, Tenant: r.Tenant, Arrival: r.Arrival, InferShare: cost})
+		totalInputs += inputs(r)
+	}
+	inferTime := d.scale(prof.InferTime(totalInputs))
+
+	falseMiss, err := m.begin(d, req, mdl, hit, loadTime, inferTime, now)
+	if err != nil {
+		d.clearLaunch()
+		return hit, dropped, err
 	}
 
-	totalInputs := 0
-	for _, r := range members {
-		b := r.BatchSize
-		if b <= 0 {
-			b = 1
+	batchMembers := 0
+	if len(extras) > 0 {
+		batchMembers = len(d.members)
+		d.results[0].InferShare = inferTime
+		for i := 1; i < len(d.results); i++ {
+			d.results[0].InferShare -= d.results[i].InferShare
 		}
-		totalInputs += b
 	}
-	inferTime := m.scaleTime(gpuID, prof.InferTime(totalInputs))
-	shares[0] = inferTime
-	for _, s := range shares[1:] {
-		shares[0] -= s
+	for i := range d.results {
+		res := &d.results[i]
+		res.Model = mdl.Name
+		res.GPU = gpuID
+		res.Hit = hit
+		res.FalseMiss = falseMiss
+		res.DispatchedAt = now
+		res.LoadTime = loadTime
+		res.InferTime = inferTime
+		res.BatchMembers = batchMembers
 	}
+	// Load-done is scheduled before completion, so an (at, seq) tie
+	// between the two resolves the same way on every run.
+	if loadTime > 0 {
+		if d.loadTimer == nil {
+			d.loadTimer = m.clock.NewTimer("gpumgr.loadDone", func(at sim.Time) { m.loadDone(d, at) })
+		}
+		d.loadTimer.Reset(loadTime)
+	}
+	if d.doneTimer == nil {
+		d.doneTimer = m.clock.NewTimer("gpumgr.complete", func(at sim.Time) { m.complete(d, at) })
+	}
+	d.doneTimer.Reset(loadTime + inferTime)
+	return hit, dropped, nil
+}
 
-	falseMiss := false
+// begin performs the launch's state changes: the cache access (evicting
+// and loading on a miss), the device's Begin, the pin and the busy report.
+func (m *Manager) begin(d *device, req *core.Request, mdl models.Model, hit bool, loadTime, inferTime time.Duration, now sim.Time) (falseMiss bool, err error) {
+	gpuID := d.dev.ID()
 	if hit {
 		if err := m.cacheMgr.OnHit(gpuID, mdl.Name, now); err != nil {
-			return true, dropped, err
+			return false, err
 		}
 	} else {
+		// Resolve false-miss attribution before OnMiss inserts the model
+		// here (mirroring the Cache Manager's own aggregate counter).
 		falseMiss = m.cacheMgr.CachedAnywhere(mdl.Name)
-		victims, err := m.cacheMgr.Victims(dev, mdl.OccupancyBytes())
+		victims, err := m.cacheMgr.Victims(d.dev, mdl.OccupancyBytes())
 		if err != nil {
-			return false, dropped, err
+			return false, err
 		}
 		for _, v := range victims {
-			if err := m.killProcess(gpuID, v, now); err != nil {
-				return false, dropped, err
+			if err := m.killProcess(d, v, now); err != nil {
+				return false, err
 			}
 		}
-		if err := dev.Admit(mdl.Name, mdl.OccupancyBytes(), now); err != nil {
-			return false, dropped, err
+		if err := d.dev.Admit(mdl.Name, mdl.OccupancyBytes(), now); err != nil {
+			return false, err
 		}
 		if err := m.cacheMgr.OnMiss(gpuID, mdl.Name, now); err != nil {
-			return false, dropped, err
+			return false, err
 		}
-		m.startProcess(gpuID, mdl.Name, req.Tenant, now)
+		m.startProcess(d, mdl, req.Tenant, now)
 	}
-
-	finishAt, err := dev.Begin(req.ID, mdl.Name, loadTime, inferTime, now)
-	if err != nil {
-		return hit, dropped, err
+	if _, err := d.dev.Begin(req.ID, mdl.Name, loadTime, inferTime, now); err != nil {
+		return falseMiss, err
 	}
 	m.cacheMgr.Pin(gpuID, mdl.Name)
 	if m.sink != nil {
 		m.sink.GPUStatus(gpuID, true, now)
 	}
-
-	results := make([]Result, len(members))
-	for i, r := range members {
-		results[i] = Result{
-			ReqID:        r.ID,
-			Function:     r.Function,
-			Model:        mdl.Name,
-			GPU:          gpuID,
-			Tenant:       r.Tenant,
-			Hit:          hit,
-			FalseMiss:    falseMiss,
-			Arrival:      r.Arrival,
-			DispatchedAt: now,
-			FinishedAt:   finishAt,
-			LoadTime:     loadTime,
-			InferTime:    inferTime,
-			BatchMembers: len(members),
-			InferShare:   shares[i],
-		}
-	}
-	var cancelLoad func()
-	if loadTime > 0 {
-		cancelLoad = m.clock.AfterFunc(loadTime, "gpumgr.loadDone "+gpuID, func(at sim.Time) {
-			_ = dev.LoadDone(at)
-		})
-	}
-	cancelDone := m.clock.AfterFunc(time.Duration(finishAt-now), "gpumgr.complete "+gpuID, func(at sim.Time) {
-		m.completeBatch(dev, results, at)
-	})
-	m.trackLaunch(gpuID, req, members[1:], cancelLoad, cancelDone, now)
-	return hit, dropped, nil
+	return falseMiss, nil
 }
 
-// completeBatch retires a batched launch: one device completion, exact
-// per-member tenant charges (load to the primary), then the member
-// completions in arrival order.
-func (m *Manager) completeBatch(dev *gpu.Device, results []Result, now sim.Time) {
-	if _, err := dev.Complete(now); err != nil {
-		panic(fmt.Sprintf("gpumgr: complete on %s: %v", dev.ID(), err))
+// loadDone ends the Loading phase of the launch in the slot. The firing
+// is ignored unless that launch's load is due: under RealClock a firing
+// can outlive its launch (see sim.Timer.Stop) and find the slot empty or
+// already holding the next one.
+func (m *Manager) loadDone(d *device, now sim.Time) {
+	if fl, busy := d.dev.Inflight(); busy && now >= fl.LoadUntil {
+		// LoadDone fails when that launch is not loading: a stale firing
+		// that found a hit, or a load already ended. Nothing to do.
+		_ = d.dev.LoadDone(now)
 	}
-	m.releaseLaunch(dev.ID())
-	m.cacheMgr.Pin(dev.ID(), "")
+}
+
+// complete retires the launch in the slot: one device completion, exact
+// per-member tenant charges (load to the primary), then the member
+// completions in arrival order. Like loadDone it ignores a firing that
+// finds no launch due.
+func (m *Manager) complete(d *device, now sim.Time) {
+	if fl, busy := d.dev.Inflight(); !busy || now < fl.FinishAt {
+		return
+	}
+	gpuID := d.dev.ID()
+	d.dev.Complete(now) // cannot fail: the device is busy
+	// Detach the results: a callback below may launch on this GPU again
+	// (or remove it), and that refills the slot.
+	results := d.results
+	d.results, m.spare = m.spare[:0], nil
+	d.clearLaunch()
+	m.cacheMgr.Pin(gpuID, "")
 	for i := range results {
 		res := &results[i]
-		u := m.tenantUsageFor(res.Tenant)
-		u.gpuTime += res.InferShare
-		if i == 0 {
-			u.gpuTime += res.LoadTime
+		charge := res.InferShare
+		if res.BatchMembers == 0 {
+			charge = res.InferTime
 		}
+		if i == 0 {
+			charge += res.LoadTime
+		}
+		m.tenantUsageFor(res.Tenant).gpuTime += charge
 		res.FinishedAt = now
 	}
 	if m.sink != nil {
-		m.sink.GPUStatus(dev.ID(), false, now)
+		m.sink.GPUStatus(gpuID, false, now)
 	}
 	for i := range results {
 		if m.sink != nil {
@@ -715,59 +627,37 @@ func (m *Manager) completeBatch(dev *gpu.Device, results []Result, now sim.Time)
 			m.onComplete(results[i])
 		}
 	}
-}
-
-func (m *Manager) complete(dev *gpu.Device, res Result, now sim.Time) {
-	if _, err := dev.Complete(now); err != nil {
-		// Completion of a request the device does not believe it is
-		// running indicates a harness bug; surface it loudly in tests
-		// by panicking in sim mode (deterministic), tolerating in live.
-		panic(fmt.Sprintf("gpumgr: complete on %s: %v", dev.ID(), err))
-	}
-	m.releaseLaunch(dev.ID())
-	m.cacheMgr.Pin(dev.ID(), "")
-	u := m.tenantUsageFor(res.Tenant)
-	u.gpuTime += res.LoadTime + res.InferTime
-	res.FinishedAt = now
-	if m.sink != nil {
-		m.sink.GPUStatus(dev.ID(), false, now)
-		m.sink.Completion(res)
-	}
-	if m.onComplete != nil {
-		m.onComplete(res)
-	}
+	m.spare = results[:0]
 }
 
 // startProcess records a new GPU process serving the model.
-func (m *Manager) startProcess(gpuID, model, tenant string, now sim.Time) {
+func (m *Manager) startProcess(d *device, mdl models.Model, tenant string, now sim.Time) {
 	m.nextPID++
-	m.processes[gpuID][model] = &Process{
-		PID: m.nextPID, GPU: gpuID, Model: model, Tenant: tenant, Started: now,
+	if d.procs == nil {
+		d.procs = make(map[string]Process)
 	}
+	d.procs[mdl.Name] = Process{PID: m.nextPID, GPU: d.dev.ID(), Model: mdl.Name, Tenant: tenant, Started: now}
 	u := m.tenantUsageFor(tenant)
 	u.processes++
-	if mdl, ok := m.zoo.Get(model); ok {
-		u.memory += mdl.OccupancyBytes()
-	}
+	u.memory += mdl.OccupancyBytes()
 }
 
 // killProcess kills the process serving a victim model and evicts the
 // model from the device and the cache index.
-func (m *Manager) killProcess(gpuID, model string, now sim.Time) error {
-	dev := m.devices[gpuID]
-	if err := dev.Evict(model); err != nil {
+func (m *Manager) killProcess(d *device, model string, now sim.Time) error {
+	if err := d.dev.Evict(model); err != nil {
 		return err
 	}
-	if err := m.cacheMgr.OnEvict(gpuID, model, now); err != nil {
+	if err := m.cacheMgr.OnEvict(d.dev.ID(), model, now); err != nil {
 		return err
 	}
-	if p, ok := m.processes[gpuID][model]; ok {
+	if p, ok := d.procs[model]; ok {
 		u := m.tenantUsageFor(p.Tenant)
 		u.processes--
 		if mdl, ok := m.zoo.Get(model); ok {
 			u.memory -= mdl.OccupancyBytes()
 		}
-		delete(m.processes[gpuID], model)
+		delete(d.procs, model)
 	}
 	return nil
 }

@@ -18,6 +18,8 @@ type fixture struct {
 	mgr    *Manager
 	zoo    *models.Zoo
 	done   []Result
+	// onDone, when set, runs after each completion is recorded.
+	onDone func(Result)
 }
 
 type recordSink struct {
@@ -50,13 +52,18 @@ func newFixture(t *testing.T, sink StatusSink, gpus int) *fixture {
 		t.Fatal(err)
 	}
 	f.mgr, err = New(Config{
-		Node:       "node0",
-		Clock:      sim.SimClock{E: f.engine},
-		Cache:      f.cache,
-		Zoo:        f.zoo,
-		Profiles:   models.TableProfiles("rtx2080", f.zoo),
-		Sink:       sink,
-		OnComplete: func(res Result) { f.done = append(f.done, res) },
+		Node:     "node0",
+		Clock:    sim.SimClock{E: f.engine},
+		Cache:    f.cache,
+		Zoo:      f.zoo,
+		Profiles: models.TableProfiles("rtx2080", f.zoo),
+		Sink:     sink,
+		OnComplete: func(res Result) {
+			f.done = append(f.done, res)
+			if f.onDone != nil {
+				f.onDone(res)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,13 @@
 // heap orders int32 slot indices instead of container/heap's boxed `any`
 // values. Handles are generation-stamped so Cancel stays a safe no-op
 // after the slot has fired and been reused.
+//
+// Components reach the engine through Clock, which the wall clock also
+// implements for the live gateway. A clock's one scheduling primitive is
+// the reusable Timer: a callback bound once, then armed and stopped any
+// number of times without allocating (an engine event with a stored func
+// here, one runtime timer under RealClock). AfterFunc is the one-shot
+// convenience on top of it.
 package sim
 
 import (
@@ -351,12 +358,40 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 // Clock abstracts "what time is it" and "call me later" so that the
 // scheduler, cache manager and GPU managers run identically under the
 // discrete-event engine (benchmarks) and the wall clock (live gateway).
+// NewTimer is each clock's one scheduling primitive; AfterFunc is the
+// one-shot form built on it.
 type Clock interface {
 	// Now returns the current time as an offset from the run epoch.
 	Now() Time
-	// AfterFunc arranges for fn to run after d. The returned cancel func
-	// stops a pending timer; calling it after firing is a no-op.
-	AfterFunc(d Time, name string, fn func(now Time)) (cancel func())
+	// NewTimer returns a stopped timer bound to fn. Arming it allocates
+	// nothing, so a component that schedules the same callback again and
+	// again (the GPU manager's completion per launch) keeps one timer
+	// instead of building a closure and a cancel func per call.
+	NewTimer(name string, fn func(now Time)) Timer
+}
+
+// Timer is a reusable "call me later". It fires at most once per Reset.
+// A timer is not safe for concurrent use: its owner serializes Reset and
+// Stop (the callback touches no timer state, so it may run concurrently
+// with them).
+type Timer interface {
+	// Reset arms the timer to fire d from now, replacing a pending firing.
+	// A negative d fires as soon as possible.
+	Reset(d Time)
+	// Stop cancels a pending firing; otherwise it is a no-op. Under
+	// SimClock a stopped timer never fires. Under RealClock a firing whose
+	// goroutine has already started cannot be recalled, so callbacks that
+	// can race a Stop check their own state (the GPU manager's completion
+	// ignores a firing that finds no launch due).
+	Stop()
+}
+
+// AfterFunc runs fn once, d from now on c's clock. The returned cancel
+// func stops a pending call; calling it after firing is a no-op.
+func AfterFunc(c Clock, d Time, name string, fn func(now Time)) (cancel func()) {
+	t := c.NewTimer(name, fn)
+	t.Reset(d)
+	return t.Stop
 }
 
 // SimClock adapts Engine to the Clock interface.
@@ -365,11 +400,26 @@ type SimClock struct{ E *Engine }
 // Now returns the engine's virtual time.
 func (c SimClock) Now() Time { return c.E.Now() }
 
-// AfterFunc schedules fn on the engine.
-func (c SimClock) AfterFunc(d Time, name string, fn func(now Time)) func() {
-	h := c.E.After(d, name, fn)
-	return func() { c.E.Cancel(h) }
+// NewTimer returns a timer that schedules fn on the engine. Each Reset is
+// one engine event, so timers reset at the same instant fire in reset
+// order.
+func (c SimClock) NewTimer(name string, fn func(now Time)) Timer {
+	return &simTimer{e: c.E, name: name, fn: fn}
 }
+
+type simTimer struct {
+	e    *Engine
+	name string
+	fn   func(now Time)
+	h    Handle // generation-stamped: stale once the event fires or is cancelled
+}
+
+func (t *simTimer) Reset(d Time) {
+	t.e.Cancel(t.h)
+	t.h = t.e.After(d, t.name, t.fn)
+}
+
+func (t *simTimer) Stop() { t.e.Cancel(t.h) }
 
 // RealClock implements Clock over the wall clock. Callbacks run on timer
 // goroutines; components that use RealClock must be mutex-protected (the
@@ -384,8 +434,30 @@ func NewRealClock() *RealClock { return &RealClock{Epoch: time.Now()} }
 // Now returns the elapsed wall time since the epoch.
 func (c *RealClock) Now() Time { return time.Since(c.Epoch) }
 
-// AfterFunc runs fn on a timer goroutine after d.
-func (c *RealClock) AfterFunc(d Time, _ string, fn func(now Time)) func() {
-	t := time.AfterFunc(d, func() { fn(c.Now()) })
-	return func() { t.Stop() }
+// NewTimer returns a timer that runs fn on a timer goroutine. The runtime
+// timer is created by the first Reset and reused by every later one.
+func (c *RealClock) NewTimer(_ string, fn func(now Time)) Timer {
+	return &realTimer{c: c, fn: fn}
+}
+
+type realTimer struct {
+	c  *RealClock
+	fn func(now Time)
+	t  *time.Timer
+}
+
+func (t *realTimer) fire() { t.fn(t.c.Now()) }
+
+func (t *realTimer) Reset(d Time) {
+	if t.t == nil {
+		t.t = time.AfterFunc(d, t.fire)
+		return
+	}
+	t.t.Reset(d)
+}
+
+func (t *realTimer) Stop() {
+	if t.t != nil {
+		t.t.Stop()
+	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -351,8 +353,7 @@ func TestSimClock(t *testing.T) {
 	e := New()
 	c := SimClock{E: e}
 	var at Time
-	cancel := c.AfterFunc(2*time.Second, "t", func(now Time) { at = now })
-	_ = cancel
+	AfterFunc(c, 2*time.Second, "t", func(now Time) { at = now })
 	e.Run(0)
 	if at != 2*time.Second {
 		t.Fatalf("fired at %v", at)
@@ -362,8 +363,8 @@ func TestSimClock(t *testing.T) {
 	}
 
 	var fired bool
-	cancel2 := c.AfterFunc(time.Second, "t2", func(Time) { fired = true })
-	cancel2()
+	cancel := AfterFunc(c, time.Second, "t2", func(Time) { fired = true })
+	cancel()
 	e.Run(0)
 	if fired {
 		t.Error("cancelled SimClock timer fired")
@@ -373,7 +374,7 @@ func TestSimClock(t *testing.T) {
 func TestRealClock(t *testing.T) {
 	c := NewRealClock()
 	done := make(chan Time, 1)
-	c.AfterFunc(5*time.Millisecond, "t", func(now Time) { done <- now })
+	AfterFunc(c, 5*time.Millisecond, "t", func(now Time) { done <- now })
 	select {
 	case at := <-done:
 		if at < 4*time.Millisecond {
@@ -382,9 +383,80 @@ func TestRealClock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("RealClock timer never fired")
 	}
-	cancel := c.AfterFunc(50*time.Millisecond, "t2", func(Time) { t.Error("cancelled timer fired") })
+	cancel := AfterFunc(c, 50*time.Millisecond, "t2", func(Time) { t.Error("cancelled timer fired") })
 	cancel()
 	time.Sleep(80 * time.Millisecond)
+}
+
+// TestTimerContract drives one Timer through every arm/stop sequence its
+// users rely on, on both clocks: the GPU manager keeps two timers per GPU
+// and re-arms them for every launch.
+func TestTimerContract(t *testing.T) {
+	const soon = 5 * time.Millisecond
+	e := New()
+	var fires atomic.Int64
+	for _, tc := range []struct {
+		name  string
+		clock Clock
+		// settle lets the clock reach the want-th firing and a while
+		// beyond it, so one firing too many shows as well.
+		settle func(want int64)
+	}{
+		{"sim", SimClock{E: e}, func(int64) { e.RunUntil(e.Now() + time.Minute) }},
+		{"real", NewRealClock(), func(want int64) {
+			for deadline := time.Now().Add(2 * time.Second); fires.Load() < want && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(6 * soon)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fires.Store(0)
+			tm := tc.clock.NewTimer("contract", func(Time) { fires.Add(1) })
+			expect := func(step string, want int64) {
+				t.Helper()
+				tc.settle(want)
+				if got := fires.Load(); got != want {
+					t.Fatalf("%s: %d firings, want %d", step, got, want)
+				}
+			}
+			tm.Stop()
+			expect("Stop before any Reset", 0)
+			tm.Reset(soon)
+			expect("Reset", 1)
+			tm.Stop()
+			expect("Stop after fire", 1)
+			tm.Reset(soon)
+			expect("Reset after fire", 2)
+			tm.Reset(time.Hour)
+			tm.Reset(soon)
+			expect("Reset while pending", 3)
+			tm.Reset(time.Hour)
+			tm.Stop()
+			expect("Stop while pending", 3)
+			tm.Reset(soon)
+			expect("Reset after Stop", 4)
+		})
+	}
+}
+
+// TestSimTimerOrder: timers reset at the same instant fire in reset order,
+// whatever order they were created in — each Reset is one engine event.
+func TestSimTimerOrder(t *testing.T) {
+	e := New()
+	c := SimClock{E: e}
+	var order []string
+	a := c.NewTimer("a", func(Time) { order = append(order, "a") })
+	b := c.NewTimer("b", func(Time) { order = append(order, "b") })
+	b.Reset(time.Second)
+	a.Reset(time.Second)
+	e.Run(0)
+	a.Reset(time.Second)
+	b.Reset(time.Second)
+	e.Run(0)
+	if got := strings.Join(order, ""); got != "baab" {
+		t.Errorf("firing order %q, want %q", got, "baab")
+	}
 }
 
 func TestMaxQueueLen(t *testing.T) {
