@@ -3,7 +3,7 @@
 # jobs; the union of their steps is what `ci` chains serially:
 #
 #   lint job        -> fmt-check vet
-#   test job        -> build test race benchmark-test
+#   test job        -> build test race vt-test benchmark-test
 #   experiments job -> bench-smoke ci-snapshot elasticity-smoke
 #                      heterogeneity-smoke scale-smoke cells-smoke
 #                      cells-determinism obs-smoke obs-determinism
@@ -11,13 +11,16 @@
 #                      chaos-smoke chaos-determinism
 #
 # (bench-regress and vuln stay advisory in both places.)
+#
+# Every smoke target writes `BENCH_<exp>.ci*.json` — git-ignored twins —
+# never a committed `BENCH_<exp>.json`: `make ci` leaves the tree clean.
 
 GO ?= go
 
 # Hot-path benchmarks compared by bench-save / bench-compare.
 BENCH_PATTERN ?= BenchmarkEngineFire|BenchmarkEngineCancel|BenchmarkScheduleDecision|BenchmarkScheduleRound1024|BenchmarkLaunchComplete1024|BenchmarkStreamingReplay|BenchmarkRouterRoute|BenchmarkMultiCellReplay|BenchmarkResNet18PredictB1|BenchmarkConv2D
 
-.PHONY: all build test race benchmark-test vet fmt fmt-check bench bench-smoke snapshot ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism bench-save bench-compare bench-regress vuln ci
+.PHONY: all build test race vt-test benchmark-test vet fmt fmt-check bench bench-smoke snapshot ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism bench-save bench-compare bench-regress vuln ci
 
 all: build
 
@@ -33,6 +36,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The virtual-time suite: tests behind `//go:build goexperiment.synctest`
+# run the live path on testing/synctest's synthetic clock (in GOROOT since
+# go1.24, no download), so outcomes a contended host could void on the wall
+# clock — the overload sweep's shed count and p99 divergence — are
+# reproducible. Tier-1 (`make test`) never compiles these files.
+vt-test:
+	GOEXPERIMENT=synctest $(GO) test ./internal/experiments -run VirtualTime
 
 # The acceptance harness (BENCHMARK.json) is its own module, so ./...
 # above never builds it: vet and test it here, or a rename of an
@@ -59,8 +70,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Machine-readable perf snapshot (schema in EXPERIMENTS.md). The cell
-# sweep is not part of `-exp all`; regenerate its artifact with
-# `make cells-smoke`.
+# sweep is not part of `-exp all`; its committed artifact is the
+# cells-smoke command with `-json BENCH_cells.json`.
 snapshot:
 	$(GO) run ./cmd/faas-bench -exp all -json BENCH_baseline.json
 
@@ -77,7 +88,7 @@ elasticity-smoke:
 # cost-aware tiered scaling), mirrored in CI as the "heterogeneity
 # smoke" step.
 heterogeneity-smoke:
-	$(GO) run ./cmd/faas-bench -exp heterogeneity -short -json BENCH_heterogeneity.json
+	$(GO) run ./cmd/faas-bench -exp heterogeneity -short -json BENCH_heterogeneity.ci.json
 
 # Short-mode scale scenario (streaming replay at 64/256 GPUs), mirrored
 # in CI as the "scale smoke" step; the full grid — 1024 GPUs × hour-long
@@ -89,7 +100,7 @@ scale-smoke:
 # 1024/4096 GPUs), mirrored in CI as the "cells smoke" step. The full
 # grid adds the 16384-GPU column (drop -short).
 cells-smoke:
-	$(GO) run ./cmd/faas-bench -exp cells -short -workers 8 -json BENCH_cells.json -det-json BENCH_cells.det.json
+	$(GO) run ./cmd/faas-bench -exp cells -short -workers 8 -json BENCH_cells.ci.json -det-json BENCH_cells.ci.det.json
 
 # The CI determinism gate: the multi-cell sweep must produce
 # byte-identical canonical snapshots at any worker count. Reuses the
@@ -98,14 +109,15 @@ cells-smoke:
 # total.
 cells-determinism: cells-smoke
 	$(GO) run ./cmd/faas-bench -exp cells -short -workers 1 -det-json /tmp/gpufaas_cells_w1.json
-	cmp /tmp/gpufaas_cells_w1.json BENCH_cells.det.json
+	cmp /tmp/gpufaas_cells_w1.json BENCH_cells.ci.det.json
 	@echo "multi-cell determinism gate: snapshots byte-identical across worker counts"
 
 # Short-mode observability run (fully instrumented K=1 vs K=16 at 1024
 # GPUs: lifecycle trace, latency decomposition, time-series), mirrored
-# in CI as the "obs smoke" step. BENCH_obs.trace.json opens in Perfetto.
+# in CI as the "obs smoke" step. BENCH_obs.ci.trace.json opens in
+# Perfetto.
 obs-smoke:
-	$(GO) run ./cmd/faas-bench -exp obs -short -workers 8 -json BENCH_obs.json -det-json BENCH_obs.det.json -trace BENCH_obs.trace.json
+	$(GO) run ./cmd/faas-bench -exp obs -short -workers 8 -json BENCH_obs.ci.json -det-json BENCH_obs.ci.det.json -trace BENCH_obs.ci.trace.json
 
 # The observability determinism gate: the instrumented sweep AND its
 # rendered trace-event export must be byte-identical at any worker
@@ -113,15 +125,17 @@ obs-smoke:
 # -workers 1.
 obs-determinism: obs-smoke
 	$(GO) run ./cmd/faas-bench -exp obs -short -workers 1 -det-json /tmp/gpufaas_obs_w1.json -trace /tmp/gpufaas_obs_w1.trace.json
-	cmp /tmp/gpufaas_obs_w1.json BENCH_obs.det.json
-	cmp /tmp/gpufaas_obs_w1.trace.json BENCH_obs.trace.json
+	cmp /tmp/gpufaas_obs_w1.json BENCH_obs.ci.det.json
+	cmp /tmp/gpufaas_obs_w1.trace.json BENCH_obs.ci.trace.json
 	@echo "observability determinism gate: snapshot and trace byte-identical across worker counts"
 
 # Short-mode overload benchmark (live serving path past saturation,
 # admission control on vs off), mirrored in CI as the "overload smoke"
-# step. Wall-clock rows: never part of the determinism gates.
+# step. Wall-clock rows: never part of the determinism gates. Writes to
+# a fresh file, as CI does, so the committed BENCH_overload.json survives
+# as the baseline for the advisory comparison.
 overload-smoke:
-	$(GO) run ./cmd/faas-bench -exp overload -short -json BENCH_overload.json
+	$(GO) run ./cmd/faas-bench -exp overload -short -json BENCH_overload.ci.json
 
 # Short-mode batching frontier sweep (policy × shape × MaxBatch plus the
 # linger rows), mirrored in CI as the "batch smoke" step. Writes to a
@@ -197,4 +211,4 @@ bench-regress:
 vuln:
 	-$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: fmt-check vet build test race benchmark-test bench-smoke ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism
+ci: fmt-check vet build test race vt-test benchmark-test bench-smoke ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism

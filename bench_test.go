@@ -627,6 +627,40 @@ func TestHotpathZeroAlloc(t *testing.T) {
 			t.Errorf("%d completions for 1001 cycles", done)
 		}
 	})
+	t.Run("miss_evict_cycle", func(t *testing.T) {
+		// One 5 GiB GPU holds one of two 3.9 GB models, so alternating
+		// them makes every cycle miss + evict + insert: the replacement
+		// list's node and the index's holder list are both recycled. (3.00
+		// allocs/op with container/list and a dropped holder list: the
+		// list element, the boxed model name, the holder slice.)
+		cfg := cluster.DefaultConfig()
+		cfg.Nodes, cfg.GPUsPerNode, cfg.GPUMemory = 1, 1, 5<<30
+		c, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair := [2]string{"vgg16", "vgg16.bn"}
+		req := &core.Request{Function: "fn", BatchSize: 32}
+		cycle := func() {
+			req.ID++
+			req.Model = pair[req.ID%2]
+			req.Arrival = c.Engine().Now()
+			if err := c.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+			c.Engine().Run(0)
+		}
+		for i := 0; i < 512; i++ {
+			cycle()
+		}
+		before := c.CacheManager().Metrics().Misses
+		if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+			t.Errorf("miss+evict+insert allocates %.2f allocs/op, want 0", avg)
+		}
+		if missed := c.CacheManager().Metrics().Misses - before; missed != 1001 {
+			t.Errorf("%d misses for 1001 cycles", missed)
+		}
+	})
 }
 
 // BenchmarkSchedulerOverhead measures the raw decision cost of one

@@ -9,10 +9,13 @@
 // The Manager also owns the evaluation metrics that are defined at cache
 // granularity: cache miss ratio (Fig. 4b), false-miss ratio (Fig. 5), and
 // the time-averaged number of duplicates of tracked hot models (Fig. 6).
+//
+// Memory follows residency, not traffic: the LRU/FIFO list reuses the nodes
+// of a per-GPU slab and the Index keeps a model's emptied holder list, so
+// once warm a miss → evict → insert cycle allocates nothing.
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"slices"
@@ -24,7 +27,8 @@ import (
 
 // ReplacementList orders a single GPU's resident models by eviction
 // preference. Implementations are not safe for concurrent use; the Manager
-// serializes access.
+// serializes access. Inserting a tracked model counts as a use of it;
+// touching or removing an untracked one does nothing.
 type ReplacementList interface {
 	// Insert adds a model that just became resident.
 	Insert(model string)
@@ -32,89 +36,85 @@ type ReplacementList interface {
 	Touch(model string)
 	// Remove drops a model (evicted or killed).
 	Remove(model string)
-	// AppendCandidates appends the resident models to dst in
-	// eviction-preference order (first = evict first) and returns the
-	// extended slice.
+	// AppendCandidates appends the tracked models to dst, the one to evict
+	// first leading, and returns the extended slice.
 	AppendCandidates(dst []string) []string
 	// Len returns the number of tracked models.
 	Len() int
 }
 
-// lruList evicts the least-recently-used model first (the paper's default
-// policy).
-type lruList struct {
-	ll  *list.List // front = most recent
-	pos map[string]*list.Element
+// recencyList is LRU (the paper's default: least recently used evicts first)
+// and FIFO (insertion order: the same list, but a use moves nothing). Slab
+// and map appear with the first insert; until then a GPU costs this struct.
+type recencyList struct {
+	nodes     []recencyNode // nodes[0] is the ring's sentinel: next = most recent, prev = next victim
+	free      int32         // head of the free chain, linked through next; 0 = none
+	pos       map[string]int32
+	moveOnUse bool // LRU
 }
 
-func newLRU() ReplacementList {
-	return &lruList{ll: list.New(), pos: make(map[string]*list.Element)}
+type recencyNode struct {
+	model      string
+	prev, next int32
 }
 
-func (l *lruList) Insert(model string) {
-	if e, ok := l.pos[model]; ok {
-		l.ll.MoveToFront(e)
-		return
-	}
-	l.pos[model] = l.ll.PushFront(model)
+func newLRU() ReplacementList  { return &recencyList{moveOnUse: true} }
+func newFIFO() ReplacementList { return &recencyList{} }
+
+// link puts node i at the front of ring n; unlink takes it out.
+func link(n []recencyNode, i int32) {
+	n[i].prev, n[i].next = 0, n[0].next
+	n[n[0].next].prev, n[0].next = i, i
 }
 
-func (l *lruList) Touch(model string) {
-	if e, ok := l.pos[model]; ok {
-		l.ll.MoveToFront(e)
-	}
+func unlink(n []recencyNode, i int32) {
+	n[n[i].prev].next, n[n[i].next].prev = n[i].next, n[i].prev
 }
 
-func (l *lruList) Remove(model string) {
-	if e, ok := l.pos[model]; ok {
-		l.ll.Remove(e)
-		delete(l.pos, model)
-	}
-}
-
-func (l *lruList) AppendCandidates(dst []string) []string {
-	for e := l.ll.Back(); e != nil; e = e.Prev() {
-		dst = append(dst, e.Value.(string))
-	}
-	return dst
-}
-
-func (l *lruList) Len() int { return len(l.pos) }
-
-// fifoList evicts in insertion order regardless of use.
-type fifoList struct {
-	ll  *list.List // front = newest
-	pos map[string]*list.Element
-}
-
-func newFIFO() ReplacementList {
-	return &fifoList{ll: list.New(), pos: make(map[string]*list.Element)}
-}
-
-func (l *fifoList) Insert(model string) {
+func (l *recencyList) Insert(model string) {
 	if _, ok := l.pos[model]; ok {
+		l.Touch(model)
 		return
 	}
-	l.pos[model] = l.ll.PushFront(model)
+	if l.pos == nil {
+		l.pos, l.nodes = make(map[string]int32), make([]recencyNode, 1)
+	}
+	i := l.free
+	if i == 0 {
+		l.nodes = append(l.nodes, recencyNode{})
+		i = int32(len(l.nodes) - 1)
+	}
+	l.free = l.nodes[i].next // 0 for a fresh node, which is only taken when the chain is empty
+	l.nodes[i].model = model
+	link(l.nodes, i)
+	l.pos[model] = i
 }
 
-func (l *fifoList) Touch(string) {}
-
-func (l *fifoList) Remove(model string) {
-	if e, ok := l.pos[model]; ok {
-		l.ll.Remove(e)
-		delete(l.pos, model)
+func (l *recencyList) Touch(model string) {
+	if i, ok := l.pos[model]; ok && l.moveOnUse && l.nodes[0].next != i {
+		unlink(l.nodes, i)
+		link(l.nodes, i)
 	}
 }
 
-func (l *fifoList) AppendCandidates(dst []string) []string {
-	for e := l.ll.Back(); e != nil; e = e.Prev() {
-		dst = append(dst, e.Value.(string))
+func (l *recencyList) Remove(model string) {
+	if i, ok := l.pos[model]; ok {
+		delete(l.pos, model)
+		unlink(l.nodes, i)
+		l.nodes[i] = recencyNode{next: l.free}
+		l.free = i
+	}
+}
+
+func (l *recencyList) AppendCandidates(dst []string) []string {
+	for i, k := int32(0), len(l.pos); k > 0; k-- {
+		i = l.nodes[i].prev
+		dst = append(dst, l.nodes[i].model)
 	}
 	return dst
 }
 
-func (l *fifoList) Len() int { return len(l.pos) }
+func (l *recencyList) Len() int { return len(l.pos) }
 
 // lfuList evicts the least-frequently-used model first, breaking ties by
 // least-recent use.

@@ -69,8 +69,11 @@ type Index struct {
 	// ids translates a live ordinal back to its GPU ID ("" once
 	// removed). Ordinals are monotone and never reused, so len(ids) is
 	// the OrdBound: every ordinal ever assigned is < len(ids).
-	ids     []string
-	holders map[string][]Ord // model -> caching GPUs, ascending Ord
+	ids []string
+	// holders maps a model to its caching GPUs, ascending Ord. A model
+	// evicted everywhere keeps an empty list here (see Apply), so the map
+	// grows to the number of distinct models ever resident, not beyond.
+	holders map[string][]Ord
 }
 
 // NewIndex creates an empty index.
@@ -142,11 +145,11 @@ func (ix *Index) Apply(ev Event) {
 	case EventInsert:
 		ix.holders[ev.Model] = ordset.Insert(ix.holders[ev.Model], o)
 	case EventEvict:
-		hs := ordset.Remove(ix.holders[ev.Model], o)
-		if len(hs) == 0 {
-			delete(ix.holders, ev.Model)
-		} else {
-			ix.holders[ev.Model] = hs
+		// A list that empties keeps its map entry and its storage: the
+		// model's next insert — on the churn path the very next event —
+		// reuses both instead of allocating them again.
+		if hs, ok := ix.holders[ev.Model]; ok {
+			ix.holders[ev.Model] = ordset.Remove(hs, o)
 		}
 	}
 }
@@ -167,21 +170,30 @@ func (ix *Index) CachedOrd(o Ord, model string) bool {
 func (ix *Index) NumCaching(model string) int { return len(ix.holders[model]) }
 
 // Holders returns the ordinals of the GPUs caching the model, ascending
-// (= registration order). The returned slice is the index's internal
-// storage: callers must treat it as read-only and must not retain it
-// across the next Apply. It is nil when the model is resident nowhere.
+// (= registration order); it is empty when the model is resident nowhere.
+// The returned slice is the index's internal storage, which every insert
+// and evict of that model edits in place — an emptied list keeps its array
+// for the model's next insert. Callers must treat the slice as read-only
+// and must not use it after the next Apply: it may list different GPUs by
+// then, or a grown list may have moved.
 func (ix *Index) Holders(model string) []Ord { return ix.holders[model] }
 
-// Models returns the number of distinct models resident anywhere.
-func (ix *Index) Models() int { return len(ix.holders) }
+// Models returns the number of distinct models resident anywhere. Models
+// whose emptied holder list is being kept for reuse do not count.
+func (ix *Index) Models() int {
+	n := 0
+	for _, hs := range ix.holders {
+		if len(hs) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // CheckConsistency verifies every holder list is strictly ascending and
 // every listed ordinal belongs to a live registration.
 func (ix *Index) CheckConsistency() error {
 	for model, hs := range ix.holders {
-		if len(hs) == 0 {
-			return fmt.Errorf("cache: empty holder list retained for %s", model)
-		}
 		for i, o := range hs {
 			if i > 0 && hs[i-1] >= o {
 				return fmt.Errorf("cache: holder list for %s out of registration order", model)

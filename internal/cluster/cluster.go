@@ -1508,15 +1508,17 @@ func (c *Cluster) RunWorkload(reqs []trace.Request) (Report, error) {
 	// sift. Arrivals before the engine's current time are rejected, as
 	// Engine.At did when each arrival was scheduled individually.
 	now0 := c.engine.Now()
+	// The scheduler's requests live in one slab for the whole run, like the
+	// delays: a materialized replay allocates per run, not per arrival.
 	delays := make([]sim.Time, len(reqs))
-	creqs := make([]*core.Request, len(reqs))
+	creqs := make([]core.Request, len(reqs))
 	for i := range reqs {
 		r := reqs[i]
 		if sim.Time(r.Arrival) < now0 {
 			return Report{}, fmt.Errorf("%w: at=%v now=%v (arrival)", sim.ErrPastEvent, sim.Time(r.Arrival), now0)
 		}
 		delays[i] = sim.Time(r.Arrival) - now0
-		creqs[i] = &core.Request{
+		creqs[i] = core.Request{
 			ID:        r.ID,
 			Function:  r.Function,
 			Model:     r.Model,
@@ -1526,7 +1528,7 @@ func (c *Cluster) RunWorkload(reqs []trace.Request) (Report, error) {
 		}
 	}
 	c.engine.AfterBatch(delays, "arrival", func(i int, now sim.Time) {
-		if err := c.sched.Enqueue(creqs[i]); err != nil {
+		if err := c.sched.Enqueue(&creqs[i]); err != nil {
 			c.failed++
 			return
 		}

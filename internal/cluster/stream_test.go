@@ -157,3 +157,65 @@ func TestRunWorkloadStreamPastArrival(t *testing.T) {
 		t.Fatal("unsorted batch accepted")
 	}
 }
+
+// TestRunWorkloadSlab holds the materialized replay, whose requests live in
+// one slab, to two things on a 2,000-request slice that overloads two GPUs
+// with eight models: its report carries the counts measured with one
+// allocation per request, and is the streaming replay's (which still hands
+// the scheduler pooled requests one at a time); and its allocations do not
+// grow with the slice — a constant for the cluster, the run's buffers and
+// the cache's warm-up, not one per arrival.
+func TestRunWorkloadSlab(t *testing.T) {
+	cfg := testConfig(core.LALBO3)
+	cfg.Nodes, cfg.GPUsPerNode = 1, 2
+	reqs := tinyWorkload(2000, 40*time.Millisecond,
+		"vgg16", "vgg19", "resnet152", "densenet201", "vgg16.bn", "vgg13", "inception.v3", "resnet101")
+	run := func(reqs []trace.Request) Report {
+		t.Helper()
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.RunWorkload(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	got := run(reqs)
+	if got.Requests != 2000 || got.Failed != 0 || got.Misses != 248 || got.FalseMisses != 0 ||
+		got.MaxEventQueueLen != 2002 || got.Makespan != 30*time.Minute+4379999551*time.Nanosecond {
+		t.Errorf("report moved: requests %d failed %d misses %d false misses %d max queue %d makespan %v",
+			got.Requests, got.Failed, got.Misses, got.FalseMisses, got.MaxEventQueueLen, got.Makespan)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := c.RunWorkloadStream(&sliceSource{reqs: reqs, chunk: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed.Streaming = nil
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("materialized report differs from streamed:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+
+	// Measured 255 and 280 (956 and 3,012 with a request allocated per
+	// arrival): the 1,500 extra requests cost the cache's and the queues'
+	// last growth steps. The bounds leave those 20 %.
+	short := testing.AllocsPerRun(3, func() { run(reqs[:500]) })
+	long := testing.AllocsPerRun(3, func() { run(reqs) })
+	if long > 340 || long-short > 60 {
+		t.Errorf("RunWorkload allocates %.0f times for 500 requests and %.0f for 2000; want <= 340, growing by <= 60", short, long)
+	}
+}

@@ -89,6 +89,9 @@ type BuiltWorkload struct {
 // Workload materializes the expansion; StreamWorkload wraps it in an
 // ArrivalStream.
 func workloadTrace(p WorkloadParams, base *models.Zoo) (*trace.Trace, trace.ModelMapping, *models.Zoo, string, error) {
+	if p.WorkingSet <= 0 {
+		return nil, nil, nil, "", fmt.Errorf("experiments: non-positive working set %d", p.WorkingSet)
+	}
 	synth := p.Synth
 	if synth.Functions == 0 {
 		synth = synthDefaults(p.Seed)

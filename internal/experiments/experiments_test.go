@@ -77,6 +77,61 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 }
 
+// TestWorkloadWorkingSetBounds: a working set is at least one function
+// (zero used to build an empty workload without complaint, a negative one
+// panicked inside TopN) and at most the whole trace.
+func TestWorkloadWorkingSetBounds(t *testing.T) {
+	functions := synthDefaults(1).Functions
+	for _, tc := range []struct {
+		workingSet int
+		instances  int // 0: an error
+	}{
+		{-1, 0},
+		{0, 0},
+		{1, 1},
+		{functions + 500, functions},
+	} {
+		p := DefaultWorkload(tc.workingSet)
+		built, err := Workload(p, models.Default())
+		stream, serr := StreamWorkload(p, models.Default(), 0)
+		if tc.instances == 0 {
+			if err == nil || serr == nil {
+				t.Errorf("working set %d: Workload err %v, StreamWorkload err %v; want both to fail", tc.workingSet, err, serr)
+			}
+			continue
+		}
+		if err != nil || serr != nil {
+			t.Fatalf("working set %d: Workload err %v, StreamWorkload err %v", tc.workingSet, err, serr)
+		}
+		want := p.Minutes * p.RequestsPerMinute
+		if built.Zoo.Len() != tc.instances || len(built.Requests) != want {
+			t.Errorf("working set %d: Workload built %d instances, %d requests; want %d, %d",
+				tc.workingSet, built.Zoo.Len(), len(built.Requests), tc.instances, want)
+		}
+		if stream.Zoo.Len() != tc.instances || stream.Stream.Total() != int64(want) {
+			t.Errorf("working set %d: StreamWorkload built %d instances, %d requests; want %d, %d",
+				tc.workingSet, stream.Zoo.Len(), stream.Stream.Total(), tc.instances, want)
+		}
+	}
+}
+
+// TestWorkloadBuildAllocs pins what building one figure cell's workload
+// costs: 152 allocations with the trace in slabs, where a string and a row
+// per synthesized function plus a second copy of every row made it 8,009.
+// What is left is per working-set function (instance names, the mapping,
+// the zoo) and the request expansion's buffers. The bound is the
+// measurement plus 20 %.
+func TestWorkloadBuildAllocs(t *testing.T) {
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := Workload(DefaultWorkload(35), models.Default()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 182 {
+		t.Errorf("Workload(DefaultWorkload(35)) allocates %.0f times, want <= 182", avg)
+	}
+}
+
 // TestPaperClaims runs the full Fig. 4–6 matrix once and asserts the
 // paper's qualitative results (§V-B/C/D): who wins, by roughly what
 // factor, and where the crossovers fall. Exact values are recorded in

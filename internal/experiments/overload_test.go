@@ -5,26 +5,9 @@ import (
 	"testing"
 )
 
-// TestOverloadSweep runs the short sweep end to end and pins the
-// benchmark's two claims loosely enough for a noisy single-core
-// runner: with shedding on, overload turns into 429s and tail latency
-// stays far below the shedding-off divergence; the arena keeps the
-// request population bounded by in-flight, not by request count.
-func TestOverloadSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	if raceEnabled {
-		// The race detector slows the watchdog's real CPU forward pass
-		// enough that the in-process generator can't drive the gateway
-		// past saturation on a small runner; CI covers this path
-		// un-instrumented via the overload smoke step.
-		t.Skip("wall-clock benchmark is meaningless under the race detector")
-	}
-	rows, err := OverloadSweep(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+// overloadPhases picks the sweep's three phases out of its rows.
+func overloadPhases(t *testing.T, rows []OverloadRow) (calib, on, off OverloadRow) {
+	t.Helper()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (closed_loop, shed_on, shed_off)", len(rows))
 	}
@@ -38,37 +21,36 @@ func TestOverloadSweep(t *testing.T) {
 	if !okC || !okOn || !okOff {
 		t.Fatalf("missing phases: %+v", rows)
 	}
+	return calib, on, off
+}
 
+// checkOverloadStructure asserts what holds of a sweep however fast or
+// slow the host ran it: the accounting identities, no hard errors, and the
+// arena's reuse discipline. Nothing here compares two wall-clock
+// measurements.
+func checkOverloadStructure(t *testing.T, rows []OverloadRow) {
+	t.Helper()
+	calib, on, off := overloadPhases(t, rows)
 	if calib.GoodputRPS <= 0 || calib.Served == 0 {
 		t.Fatalf("calibration measured no capacity: %+v", calib)
 	}
-	if on.OfferedRPS < 1.5*calib.GoodputRPS {
-		t.Errorf("offered %.1f rps is not ~2x capacity %.1f", on.OfferedRPS, calib.GoodputRPS)
-	}
 
-	// Shedding on: overload is visibly rejected, and served + shed +
-	// errors accounts for every arrival.
-	if on.Shed == 0 {
-		t.Error("shedding-on phase shed nothing at 2x capacity")
-	}
+	// Served + shed + errors accounts for every arrival, and the sheds
+	// decompose into their reasons.
 	if on.Shed != on.ShedQueueFull+on.ShedDeadline+on.ShedTenant {
 		t.Errorf("shed %d != reason decomposition %d+%d+%d",
 			on.Shed, on.ShedQueueFull, on.ShedDeadline, on.ShedTenant)
 	}
-	if got := on.Served + on.Shed + on.Errors; got != on.Sent {
-		t.Errorf("outcomes %d != sent %d", got, on.Sent)
+	for _, r := range []OverloadRow{on, off} {
+		if got := r.Served + r.Shed + r.Errors; got != r.Sent {
+			t.Errorf("%s: outcomes %d != sent %d", r.Name, got, r.Sent)
+		}
+	}
+	if off.Shed != 0 {
+		t.Errorf("shedding-off phase shed %d requests", off.Shed)
 	}
 	if on.Errors > 0 || off.Errors > 0 {
 		t.Errorf("hard errors under overload: on=%d off=%d", on.Errors, off.Errors)
-	}
-
-	// The headline: bounded tail with shedding vs divergence without.
-	if on.P99Ms <= 0 || off.P99Ms <= 0 {
-		t.Fatalf("empty latency samples: on=%+v off=%+v", on, off)
-	}
-	if on.P99Ms >= off.P99Ms {
-		t.Errorf("shedding-on p99 %.1fms >= shedding-off p99 %.1fms — no divergence",
-			on.P99Ms, off.P99Ms)
 	}
 
 	// Allocation discipline: the arena population is bounded by peak
@@ -86,15 +68,10 @@ func TestOverloadSweep(t *testing.T) {
 		}
 	}
 	// With admission on, in-flight — and therefore the arena population
-	// — is capped by the concurrency limit; without it the backlog is
-	// the cap, which under 2x overload is far larger.
+	// — is capped by the concurrency limit.
 	if on.ArenaPeakLive > overloadConcurrent {
 		t.Errorf("shedding-on arena peak %d exceeds the admission limit %d",
 			on.ArenaPeakLive, overloadConcurrent)
-	}
-	if off.ArenaPeakLive <= on.ArenaPeakLive {
-		t.Errorf("shedding-off arena peak %d not above shedding-on peak %d — no backlog built",
-			off.ArenaPeakLive, on.ArenaPeakLive)
 	}
 
 	var sb strings.Builder
@@ -105,4 +82,27 @@ func TestOverloadSweep(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestOverloadSweep runs the short sweep end to end on the wall clock and
+// checks its structure only. Whether overload built, whether anything was
+// shed and which phase's tail came out longer depend on how fast the host
+// ran the generator against the gateway; those outcomes are asserted in
+// virtual time, where they are reproducible (overload_vt_test.go,
+// `make vt-test`).
+func TestOverloadSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock benchmark")
+	}
+	if raceEnabled {
+		// Seven seconds of real CPU forward passes become a minute under
+		// the race detector; CI covers this path un-instrumented via the
+		// overload smoke step.
+		t.Skip("wall-clock benchmark is too slow under the race detector")
+	}
+	rows, err := OverloadSweep(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverloadStructure(t, rows)
 }

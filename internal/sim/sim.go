@@ -251,9 +251,11 @@ func (e *Engine) AfterBatch(delays []Time, name string, fn func(i int, now Time)
 		return
 	}
 	// Reserve contiguously where possible; slots may still come from the
-	// free list.
+	// free list. The headroom is for the timers armed while the batch
+	// drains: an exact fit would have the first of them that finds the free
+	// list empty double the whole arena.
 	if cap(e.slots)-len(e.slots) < len(delays)-len(e.free) {
-		grown := make([]eventSlot, len(e.slots), len(e.slots)+len(delays))
+		grown := make([]eventSlot, len(e.slots), len(e.slots)+len(delays)+len(delays)/8+16)
 		copy(grown, e.slots)
 		e.slots = grown
 	}

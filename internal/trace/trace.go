@@ -11,14 +11,22 @@
 //     frequent functions ("working set"), normalize each minute to a fixed
 //     request budget (325 requests for the 12-GPU testbed), map functions
 //     onto models, and randomize arrival order within each minute.
+//
+// A figure run builds this pipeline from scratch, once per cell, over a
+// 2,000-function long tail of which 15–35 rows survive. So a built trace is
+// three objects however many functions it has — the name slice, the row
+// headers, and one []int slab the rows are windows of — and the working set
+// is selected from the tail, not sorted out of it.
 package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,6 +34,16 @@ import (
 )
 
 // Trace holds per-function, per-minute invocation counts.
+//
+// In a trace built by this package (Synthesize and the pipeline stages
+// FirstMinutes, TopN, NormalizeMinutes, RedistributeMinutes*) the rows of
+// Counts are consecutive windows of one backing array, each with its
+// capacity capped at its length: writing a cell is local to its row, and
+// appending to a row reallocates that row instead of running into the next.
+// A stage never aliases its input — it copies the counts and the name slice
+// it keeps — so a trace stays valid, and unchanged, whatever is done to the
+// traces derived from it. ParseCSV, which learns the row count as it reads,
+// allocates its rows one by one.
 type Trace struct {
 	// Functions[i] is the identifier of row i.
 	Functions []string
@@ -34,6 +52,27 @@ type Trace struct {
 	Counts [][]int
 	// Minutes is the number of per-minute columns.
 	Minutes int
+}
+
+// newRows returns n zeroed rows of m counts each, cut from one slab. The
+// three-index slice caps each row's capacity at m.
+func newRows(n, m int) [][]int {
+	slab := make([]int, n*m)
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = slab[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows
+}
+
+// blank returns a trace of t's functions (the name slice copied) over m
+// minutes, every count zero.
+func (t *Trace) blank(m int) *Trace {
+	return &Trace{
+		Functions: append([]string(nil), t.Functions...),
+		Counts:    newRows(len(t.Counts), m),
+		Minutes:   m,
+	}
 }
 
 // Validate checks internal consistency.
@@ -96,44 +135,106 @@ func (t *Trace) TopShare(n int) float64 {
 	return float64(top) / float64(all)
 }
 
+// ranked is one function's place in the popularity order.
+type ranked struct {
+	idx   int
+	total int64
+}
+
+// byRank orders functions by descending total, equal totals by ascending
+// original row — the order a stable sort by descending total gives.
+func byRank(a, b ranked) int {
+	if c := cmp.Compare(b.total, a.total); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// topRanked returns the n first-ranked entries of totals, best first
+// (n <= len(totals)). It selects instead of sorting: candidates collect in a
+// buffer of 2n that is sorted and cut back to n whenever it fills, and from
+// the first cut on only an entry that beats the n-th kept is a candidate —
+// on the long tail a working set is cut from, almost none, so the tail
+// costs one comparison per function, and no input more than O(log n) each.
+func topRanked(totals []int64, n int) []ranked {
+	buf := make([]ranked, 0, min(2*n, len(totals)))
+	cut := false // buf[n-1] is an entry to beat
+	for i, v := range totals {
+		r := ranked{i, v}
+		if cut && byRank(r, buf[n-1]) > 0 {
+			continue
+		}
+		buf = append(buf, r)
+		if len(buf) == cap(buf) {
+			slices.SortFunc(buf, byRank)
+			buf, cut = buf[:n], true
+		}
+	}
+	slices.SortFunc(buf, byRank)
+	return buf[:n]
+}
+
 // TopN returns a trace restricted to the n most-invoked functions — the
 // paper's "working set" extraction. Functions are renumbered in descending
-// popularity order so index 0 is the hottest function.
+// popularity order so index 0 is the hottest function; functions with equal
+// totals keep their original relative order. The tail of the Azure shape
+// totals small integers, so such ties decide which functions the larger
+// working sets end with. n is clamped to [0, len(Functions)].
 func (t *Trace) TopN(n int) *Trace {
-	type ranked struct {
-		idx   int
-		total int64
-	}
-	totals := t.FunctionTotals()
-	rs := make([]ranked, len(totals))
-	for i, v := range totals {
-		rs[i] = ranked{i, v}
-	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].total > rs[j].total })
-	if n > len(rs) {
-		n = len(rs)
-	}
+	n = min(max(n, 0), len(t.Counts))
 	out := &Trace{Minutes: t.Minutes}
-	for _, r := range rs[:n] {
-		out.Functions = append(out.Functions, t.Functions[r.idx])
-		row := make([]int, t.Minutes)
-		copy(row, t.Counts[r.idx])
-		out.Counts = append(out.Counts, row)
+	if n == 0 {
+		return out
+	}
+	out.Functions = make([]string, n)
+	out.Counts = newRows(n, t.Minutes)
+	for k, r := range topRanked(t.FunctionTotals(), n) {
+		out.Functions[k] = t.Functions[r.idx]
+		copy(out.Counts[k], t.Counts[r.idx])
 	}
 	return out
 }
 
 // FirstMinutes returns a trace truncated to the first m minutes (the paper
-// extracts the first 6 minutes).
+// extracts the first 6 minutes). m is clamped to [0, Minutes].
 func (t *Trace) FirstMinutes(m int) *Trace {
-	if m > t.Minutes {
-		m = t.Minutes
-	}
-	out := &Trace{Functions: append([]string(nil), t.Functions...), Minutes: m}
-	for _, row := range t.Counts {
-		out.Counts = append(out.Counts, append([]int(nil), row[:m]...))
+	out := t.blank(min(max(m, 0), t.Minutes))
+	for i, row := range t.Counts {
+		copy(out.Counts[i], row)
 	}
 	return out
+}
+
+// frac is one row's share of a minute's budget while it is apportioned.
+type frac struct {
+	idx  int
+	rem  float64
+	base int
+}
+
+// apportionMinute sets column m of rows by largest-remainder apportionment:
+// row i gets floor(exact(i)), and the budget the floors leave over goes, one
+// request each, to the largest fractional parts (ties to the lower row), so
+// the column sums to budget exactly. fracs is scratch with room for one
+// entry per row, reused from minute to minute.
+func apportionMinute(rows [][]int, m, budget int, fracs []frac, exact func(i int) float64) {
+	fracs = fracs[:0]
+	assigned := 0
+	for i := range rows {
+		e := exact(i)
+		base := int(math.Floor(e))
+		assigned += base
+		fracs = append(fracs, frac{idx: i, rem: e - float64(base), base: base})
+	}
+	slices.SortStableFunc(fracs, func(a, b frac) int { return cmp.Compare(b.rem, a.rem) })
+	left := budget - assigned
+	for k, f := range fracs {
+		n := f.base
+		if k < left {
+			n++
+		}
+		rows[f.idx][m] = n
+	}
 }
 
 // NormalizeMinutes scales every minute so its column sum equals budget
@@ -142,11 +243,8 @@ func (t *Trace) FirstMinutes(m int) *Trace {
 // residue is assigned to the most popular functions of that minute via
 // largest-remainder apportionment, so the column sums are exact.
 func (t *Trace) NormalizeMinutes(budget int) *Trace {
-	out := &Trace{Functions: append([]string(nil), t.Functions...), Minutes: t.Minutes}
-	out.Counts = make([][]int, len(t.Counts))
-	for i := range out.Counts {
-		out.Counts[i] = make([]int, t.Minutes)
-	}
+	out := t.blank(t.Minutes)
+	fracs := make([]frac, 0, len(t.Counts))
 	for m := 0; m < t.Minutes; m++ {
 		var colSum int64
 		for i := range t.Counts {
@@ -155,28 +253,9 @@ func (t *Trace) NormalizeMinutes(budget int) *Trace {
 		if colSum == 0 {
 			continue
 		}
-		type frac struct {
-			idx  int
-			rem  float64
-			base int
-		}
-		fracs := make([]frac, 0, len(t.Counts))
-		assigned := 0
-		for i := range t.Counts {
-			exact := float64(t.Counts[i][m]) * float64(budget) / float64(colSum)
-			base := int(math.Floor(exact))
-			assigned += base
-			fracs = append(fracs, frac{idx: i, rem: exact - float64(base), base: base})
-		}
-		sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].rem > fracs[b].rem })
-		left := budget - assigned
-		for k := range fracs {
-			n := fracs[k].base
-			if k < left {
-				n++
-			}
-			out.Counts[fracs[k].idx][m] = n
-		}
+		apportionMinute(out.Counts, m, budget, fracs, func(i int) float64 {
+			return float64(t.Counts[i][m]) * float64(budget) / float64(colSum)
+		})
 	}
 	return out
 }
@@ -230,39 +309,16 @@ func (t *Trace) RedistributeMinutesBudgets(budgets []int, s float64) (*Trace, er
 	if len(budgets) != t.Minutes {
 		return nil, fmt.Errorf("trace: %d budgets for %d minutes", len(budgets), t.Minutes)
 	}
-	out := &Trace{Functions: append([]string(nil), t.Functions...), Minutes: t.Minutes}
-	out.Counts = make([][]int, len(t.Counts))
-	for i := range out.Counts {
-		out.Counts[i] = make([]int, t.Minutes)
-	}
+	out := t.blank(t.Minutes)
 	if len(t.Counts) == 0 {
 		return out, nil
 	}
 	weights := ZipfWeights(len(t.Counts), s)
-	for m := 0; m < t.Minutes; m++ {
-		budget := budgets[m]
-		type frac struct {
-			idx  int
-			rem  float64
-			base int
-		}
-		fracs := make([]frac, 0, len(t.Counts))
-		assigned := 0
-		for i := range t.Counts {
-			exact := weights[i] * float64(budget)
-			base := int(math.Floor(exact))
-			assigned += base
-			fracs = append(fracs, frac{idx: i, rem: exact - float64(base), base: base})
-		}
-		sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].rem > fracs[b].rem })
-		left := budget - assigned
-		for k := range fracs {
-			n := fracs[k].base
-			if k < left {
-				n++
-			}
-			out.Counts[fracs[k].idx][m] = n
-		}
+	fracs := make([]frac, 0, len(t.Counts))
+	for m, budget := range budgets {
+		apportionMinute(out.Counts, m, budget, fracs, func(i int) float64 {
+			return weights[i] * float64(budget)
+		})
 	}
 	return out, nil
 }
@@ -329,13 +385,6 @@ func (t *Trace) BuildRequests(mapping ModelMapping, batch int, rng *rand.Rand) (
 		}
 		reqs = append(reqs, b...)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Shape kinds accepted by Shape.Kind.
@@ -545,13 +594,13 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 		}
 	}
 
-	t := &Trace{Minutes: cfg.Minutes}
-	t.Functions = make([]string, cfg.Functions)
-	t.Counts = make([][]int, cfg.Functions)
-	for i := 0; i < cfg.Functions; i++ {
-		t.Functions[i] = fmt.Sprintf("func-%05d", i)
-		t.Counts[i] = make([]int, cfg.Minutes)
+	t := &Trace{
+		Functions: synthNames(cfg.Functions),
+		Counts:    newRows(cfg.Functions, cfg.Minutes),
+		Minutes:   cfg.Minutes,
 	}
+	// Minute-major, function-minor: the draw order is part of the seed's
+	// meaning.
 	for m := 0; m < cfg.Minutes; m++ {
 		factor := shape.Factor(m)
 		for i := 0; i < cfg.Functions; i++ {
@@ -560,6 +609,32 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// synthNames returns the synthesizer's function names, "func-%05d" of the
+// row index, as substrings of one buffer: naming n functions costs the name
+// slice and the buffer, not a string per name. (Any one name therefore keeps
+// the whole buffer reachable — ten bytes per function.)
+func synthNames(n int) []string {
+	const prefix, width = "func-", 5
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + width)) // exact below 100,000 functions
+	names := make([]string, n)
+	var digits [20]byte
+	for i := range names {
+		start := b.Len()
+		d := strconv.AppendInt(digits[:0], int64(i), 10)
+		b.WriteString(prefix)
+		for k := len(d); k < width; k++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		// String is a view of the bytes written so far, not a copy; should
+		// the buffer grow past the estimate, names cut earlier keep the
+		// old one alive and stay valid.
+		names[i] = b.String()[start:]
+	}
+	return names
 }
 
 // poisson draws a Poisson variate; for large means it falls back to a
