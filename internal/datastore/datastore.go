@@ -7,6 +7,15 @@
 // mutual exclusion — the consistency guarantees the paper relies on (a
 // single serialized view shared by the Scheduler, Cache Manager and GPU
 // Managers) hold by construction.
+//
+// Writes cost what a record costs. Putting a new key stores one copy of
+// the key, one copy of the value and one entry; overwriting an existing
+// key rewrites its value bytes in place and allocates nothing, which is
+// what keeps the GPU Managers' busy/idle transitions off the heap. That is
+// safe because no caller ever holds the stored bytes: Get and List hand
+// out copies, and a watch event carries its own copy of the value, made
+// once per write that some watcher is subscribed to — so an event keeps
+// its bytes however long its receiver holds it, Cancel or not.
 package datastore
 
 import (
@@ -129,10 +138,18 @@ func (s *Store) expireLocked() {
 	}
 }
 
+// notifyLocked sends ev to every watcher under its key's prefix. The
+// watchers share one copy of ev.Value, made only if one of them matches:
+// the stored bytes are rewritten in place by the next Put, the copy never.
 func (s *Store) notifyLocked(ev Event) {
+	copied := false
 	for w := range s.watchers {
 		if !strings.HasPrefix(ev.Key, w.prefix) {
 			continue
+		}
+		if !copied {
+			ev.Value = append([]byte(nil), ev.Value...)
+			copied = true
 		}
 		select {
 		case w.ch <- ev:
@@ -141,7 +158,39 @@ func (s *Store) notifyLocked(ev Event) {
 	}
 }
 
+// writeLocked stores value under key, bound to lease l (nil: leaseID is
+// 0), bumps the revision and notifies the watchers. A new key is copied
+// into the store, so key itself is never retained; an existing entry
+// keeps its CreateRevision and has its value rewritten in place.
+func (s *Store) writeLocked(key string, value []byte, leaseID int64, l *lease) int64 {
+	s.rev++
+	e, ok := s.kv[key]
+	if ok {
+		e.Value = append(e.Value[:0], value...)
+	} else {
+		e = &KV{Key: strings.Clone(key), Value: append([]byte(nil), value...), CreateRevision: s.rev}
+		s.kv[e.Key] = e
+	}
+	if e.Lease != 0 && e.Lease != leaseID {
+		if ol, ok := s.leases[e.Lease]; ok {
+			delete(ol.keys, key)
+		}
+	}
+	e.Lease = leaseID
+	e.ModRevision = s.rev
+	if l != nil {
+		l.keys[e.Key] = true
+	}
+	s.notifyLocked(Event{Type: EventPut, Key: e.Key, Value: e.Value, Revision: s.rev})
+	return s.rev
+}
+
 // Put writes a key, returning the new revision. leaseID 0 means no lease.
+// Put copies both arguments and retains neither: a new key costs one copy
+// of the key, one of the value and an entry, and overwriting a key
+// rewrites the stored bytes in place and allocates nothing. Watchers get
+// their own copy (one per Put, shared by every matching watcher), so the
+// bytes a watch event carries are never the ones an overwrite rewrites.
 func (s *Store) Put(key string, value []byte, leaseID int64) (int64, error) {
 	if key == "" {
 		return 0, errors.New("datastore: empty key")
@@ -160,24 +209,7 @@ func (s *Store) Put(key string, value []byte, leaseID int64) (int64, error) {
 			return 0, fmt.Errorf("%w: %d", ErrLeaseExpire, leaseID)
 		}
 	}
-	s.rev++
-	old, existed := s.kv[key]
-	create := s.rev
-	if existed {
-		create = old.CreateRevision
-		if old.Lease != 0 && old.Lease != leaseID {
-			if ol, ok := s.leases[old.Lease]; ok {
-				delete(ol.keys, key)
-			}
-		}
-	}
-	val := append([]byte(nil), value...)
-	s.kv[key] = &KV{Key: key, Value: val, CreateRevision: create, ModRevision: s.rev, Lease: leaseID}
-	if l != nil {
-		l.keys[key] = true
-	}
-	s.notifyLocked(Event{Type: EventPut, Key: key, Value: val, Revision: s.rev})
-	return s.rev, nil
+	return s.writeLocked(key, value, leaseID, l), nil
 }
 
 // Get reads one key.
@@ -267,15 +299,7 @@ func (s *Store) CompareAndSwap(key string, expected int64, value []byte) (int64,
 		}
 		return 0, fmt.Errorf("%w: %s at rev %d, expected %d", ErrCASFailed, key, got, expected)
 	}
-	s.rev++
-	create := s.rev
-	if exists {
-		create = cur.CreateRevision
-	}
-	val := append([]byte(nil), value...)
-	s.kv[key] = &KV{Key: key, Value: val, CreateRevision: create, ModRevision: s.rev}
-	s.notifyLocked(Event{Type: EventPut, Key: key, Value: val, Revision: s.rev})
-	return s.rev, nil
+	return s.writeLocked(key, value, 0, nil), nil
 }
 
 // GrantLease creates a lease with the given TTL and returns its ID.

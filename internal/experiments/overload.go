@@ -100,12 +100,12 @@ type OverloadRow struct {
 
 // overloadGateway builds the benchmark gateway; admission control is
 // attached only for the shedding-on phase.
-func overloadGateway(shed bool) (*faas.Gateway, error) {
+func overloadGateway(shed bool, timeScale float64) (*faas.Gateway, error) {
 	cfg := faas.GatewayConfig{
 		Policy:        "LALBO3",
 		Nodes:         1,
 		GPUsPerNode:   overloadGPUs,
-		TimeScale:     overloadTimeScale,
+		TimeScale:     timeScale,
 		InvokeTimeout: 60 * time.Second,
 	}
 	if shed {
@@ -277,14 +277,21 @@ func openLoop(g *faas.Gateway, name string, shedding bool, rps float64, window t
 // in open loop with shedding on and off. Short mode shrinks the
 // windows to CI-smoke length.
 func OverloadSweep(short bool) ([]OverloadRow, error) {
-	calib, window := 3*time.Second, 6*time.Second
 	if short {
-		calib, window = 1500*time.Millisecond, 2*time.Second
+		return overloadSweep(1500*time.Millisecond, 2*time.Second, overloadTimeScale)
 	}
+	return overloadSweep(3*time.Second, 6*time.Second, overloadTimeScale)
+}
 
+// overloadSweep is OverloadSweep with its phase lengths — calib for the
+// capacity calibration (a third of it warms each overload gateway),
+// window for each open-loop overload phase — and the profile time scale.
+// Every gateway pays one model load before its first completion, so a
+// sweep with short phases needs a small scale to be short itself.
+func overloadSweep(calib, window time.Duration, timeScale float64) ([]OverloadRow, error) {
 	// Capacity calibration on its own gateway (no admission: a closed
 	// loop at bounded concurrency never needs shedding).
-	g, err := overloadGateway(false)
+	g, err := overloadGateway(false, timeScale)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +303,7 @@ func OverloadSweep(short bool) ([]OverloadRow, error) {
 	offered := 2 * calibRow.GoodputRPS
 
 	for _, shed := range []bool{true, false} {
-		g, err := overloadGateway(shed)
+		g, err := overloadGateway(shed, timeScale)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // overloadPhases picks the sweep's three phases out of its rows.
@@ -84,23 +85,24 @@ func checkOverloadStructure(t *testing.T, rows []OverloadRow) {
 	}
 }
 
-// TestOverloadSweep runs the short sweep end to end on the wall clock and
-// checks its structure only. Whether overload built, whether anything was
-// shed and which phase's tail came out longer depend on how fast the host
-// ran the generator against the gateway; those outcomes are asserted in
-// virtual time, where they are reproducible (overload_vt_test.go,
-// `make vt-test`).
+// TestOverloadSweep runs the sweep end to end on the wall clock, with
+// 0.3 s phases and a tenth of the sweep's profile time scale (so each
+// gateway's cold model load is short too), and checks its structure only.
+// Whether overload built, whether anything was shed and which phase's tail
+// came out longer depend on how fast the host ran the generator against
+// the gateway; those outcomes are asserted in virtual time on the short
+// sweep, where they are reproducible (overload_vt_test.go, `make vt-test`).
 func TestOverloadSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock benchmark")
 	}
 	if raceEnabled {
-		// Seven seconds of real CPU forward passes become a minute under
-		// the race detector; CI covers this path un-instrumented via the
-		// overload smoke step.
+		// Real CPU forward passes slow tenfold under the race detector;
+		// CI covers this path un-instrumented via the overload smoke
+		// step.
 		t.Skip("wall-clock benchmark is too slow under the race detector")
 	}
-	rows, err := OverloadSweep(true)
+	rows, err := overloadSweep(300*time.Millisecond, 300*time.Millisecond, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

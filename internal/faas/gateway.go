@@ -823,6 +823,10 @@ func (g *Gateway) handleGPUs(w http.ResponseWriter, r *http.Request) {
 // has been written (the echo handler aliases the buffer until then).
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// jsonContentType is the invoke reply's Content-Type value, shared by every
+// reply: assigning it skips the slice Header().Set allocates per call.
+var jsonContentType = []string{"application/json"}
+
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.WriteHeader(http.StatusMethodNotAllowed)
@@ -848,7 +852,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	if len(resp.Body) > 0 {
 		w.Write(resp.Body)

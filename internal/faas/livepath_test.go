@@ -423,12 +423,14 @@ func TestInvokeParallelChurn(t *testing.T) {
 }
 
 // TestGatewayInvokeAllocs pins the steady-state allocation cost of one
-// live invocation on the echo path (admission enabled): the watchdog's
-// metric record — one key string plus the datastore's defensive value
-// copy and KV entry — is the only per-invocation allocation left. The
-// bound has headroom for map-growth amortization; reintroducing a
-// per-invoke request allocation, JSON marshal, or unpooled
-// channel/timer blows well past it.
+// live invocation on the echo path (admission enabled), which never
+// reaches the GPU cluster: the watchdog's invocation record — the key
+// copy, the value copy and the datastore entry — is most of its 4
+// allocs/op. The bound has headroom for map-growth amortization;
+// reintroducing a per-invoke request allocation, JSON marshal, or
+// unpooled channel/timer blows well past it. A GPU function's invoke
+// costs more — the completion record and the reply — and is pinned by
+// TestGatewayInferenceInvokeAllocs.
 func TestGatewayInvokeAllocs(t *testing.T) {
 	g := testAdmitGateway(t, AdmissionConfig{MaxConcurrent: 4, QueueDepth: 8})
 	if _, err := g.Deploy(FunctionSpec{Name: "echo", Handler: HandlerEcho}); err != nil {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 
 	"gpufaas/internal/cluster"
 	"gpufaas/internal/core"
@@ -103,15 +105,23 @@ func (w *Watchdog) Handle(req InvokeRequest) (InvokeResponse, error) {
 	return resp, err
 }
 
-// recBufPool recycles the invocation-record scratch buffer; the record
-// itself is copied by datastore.Put, so the buffer is reusable the
-// moment record returns.
-var recBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 192); return &b }}
+// recBufPool recycles the scratch buffer a datastore record is encoded
+// into: key and value are appended back to back, and datastore.Put copies
+// what it keeps, so the buffer is reusable the moment the record is written.
+var recBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// bytesKey views a scratch buffer as a datastore key for one Put. Put
+// copies a key the first time it inserts it and retains neither argument,
+// so the view never outlives the call and the buffer may be reused after.
+func bytesKey(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // record writes the invocation metric record. The JSON is appended by
-// hand (same alphabetical key order encoding/json produced for the map
-// form) so the per-invocation cost is one key-string allocation instead
-// of a map, a Marshal and the reflect walk behind it.
+// hand, with the bytes and alphabetical key order encoding/json produces
+// for the map form, so a record costs what a new datastore key costs —
+// the key copy, the value copy and the entry, three objects — instead of
+// a map, a Marshal and the reflect walk behind it. It runs on the
+// invoking goroutine, outside the cluster lock; the GPU-side records of
+// the same invoke (DatastoreSink) are written under it.
 func (w *Watchdog) record(status string, start sim.Time, latency time.Duration) {
 	bp := recBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -121,11 +131,10 @@ func (w *Watchdog) record(status string, start sim.Time, latency time.Duration) 
 	buf = strconv.AppendInt(buf, int64(start), 10)
 	buf = append(buf, '-')
 	buf = strconv.AppendInt(buf, w.seq.Add(1), 10)
-	key := string(buf)
+	n := len(buf)
 
-	buf = buf[:0]
 	buf = append(buf, `{"function":`...)
-	buf = strconv.AppendQuote(buf, w.spec.Name)
+	buf = appendJSONString(buf, w.spec.Name)
 	buf = append(buf, `,"latencyMs":`...)
 	buf = strconv.AppendInt(buf, latency.Milliseconds(), 10)
 	buf = append(buf, `,"status":"`...)
@@ -133,9 +142,64 @@ func (w *Watchdog) record(status string, start sim.Time, latency time.Duration) 
 	buf = append(buf, `","wallMs":`...)
 	buf = strconv.AppendInt(buf, time.Duration(w.clock.Now()-start).Milliseconds(), 10)
 	buf = append(buf, '}')
-	w.store.Put(key, buf, 0)
+	w.store.Put(bytesKey(buf[:n]), buf[n:], 0)
 	*bp = buf[:0]
 	recBufPool.Put(bp)
+}
+
+// appendJSONString appends s as a JSON string, byte for byte what
+// encoding/json writes: '"' and '\\' backslash-escaped, control
+// characters as \n-style or \u00XX escapes, the HTML-significant '<',
+// '>' and '&' as \u00XX, invalid UTF-8 as \ufffd, and U+2028/U+2029
+// escaped. Runs of other characters — all of a typical function name —
+// are copied as they are.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, `\ufffd`...)
+				start = i + size
+			case r == '\u2028' || r == '\u2029':
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '"', '\\':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		}
+		i++
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // handleInference is the ML-inference function body. With the GPU flag
@@ -155,8 +219,11 @@ func (w *Watchdog) handleInference(req InvokeRequest) (InvokeResponse, error) {
 		if err != nil {
 			return InvokeResponse{}, err
 		}
-		imgs, err = dataset.Batch(pool, 0, w.spec.BatchSize)
-		if err != nil {
+		// The handler only reads its batch, so a prefix of the shared
+		// pool serves as it is; dataset.Batch copies only to wrap around.
+		if n := w.spec.BatchSize; n > 0 && n <= len(pool) {
+			imgs = pool[:n:n]
+		} else if imgs, err = dataset.Batch(pool, 0, n); err != nil {
 			return InvokeResponse{}, err
 		}
 	}
@@ -252,9 +319,11 @@ func seedFor(model string) int64 {
 // recycle through sync.Pools. In steady state neither the client nor the
 // launch path under it — Cluster.Submit's scheduling round, the GPU
 // manager's launch into the GPU's resident slot, its re-armed completion
-// timer — allocates: the benchmark counts 0 objects per warm Predict
-// (faas.predict_allocs and cluster.submit_allocs on live-predict, from 8
-// and 9), and TestPredictAllocs bounds it at 2.
+// timer — allocates: the benchmark counts 0 objects per warm Predict on a
+// cluster without a status sink (faas.predict_allocs and
+// cluster.submit_allocs on live-predict, from 8 and 9), and
+// TestPredictAllocs bounds it at 2. A gateway's cluster carries a
+// DatastoreSink, whose completion record adds 3 objects per Predict.
 type InferenceClient struct {
 	cells   []*cluster.Cluster
 	router  *multicell.Router // nil: everything goes to cells[0]
@@ -437,7 +506,11 @@ func (ic *InferenceClient) Predict(spec FunctionSpec, batch int) (gpumgr.Result,
 
 // DatastoreSink records GPU status transitions and completions into the
 // Datastore, as the GPU Managers do in §III-C ("reports the latency to the
-// Datastore... updates the status back to idle").
+// Datastore... updates the status back to idle"). Both methods run inside
+// the cluster lock, so every Submit on the cell waits behind them; they
+// cost what the record costs. A warm status transition overwrites an
+// existing key in place and allocates nothing; a completion is a new key
+// and costs its key copy, its value copy and the datastore entry.
 type DatastoreSink struct {
 	Store *datastore.Store
 	// Prefix namespaces the per-GPU status keys (a multi-cell gateway
@@ -456,7 +529,12 @@ func (s DatastoreSink) GPUStatus(gpuID string, busy bool, at sim.Time) {
 	if busy {
 		v = "busy"
 	}
-	s.Store.Put("gpu/"+s.Prefix+gpuID+"/status", []byte(v), 0)
+	var kb [64]byte
+	key := append(kb[:0], "gpu/"...)
+	key = append(key, s.Prefix...)
+	key = append(key, gpuID...)
+	key = append(key, "/status"...)
+	s.Store.Put(bytesKey(key), []byte(v), 0)
 }
 
 // GPURemoved implements gpumgr.GPURemovalSink: a decommissioned GPU's
@@ -469,19 +547,36 @@ func (s DatastoreSink) GPURemoved(gpuID string, _ sim.Time) {
 	_, _ = s.Store.Delete("gpu/" + s.Prefix + gpuID + "/status")
 }
 
-// Completion implements gpumgr.StatusSink.
+// Completion implements gpumgr.StatusSink. The record is the bytes
+// json.Marshal writes for the map of these seven keys, appended by hand
+// in the same sorted key order.
 func (s DatastoreSink) Completion(res gpumgr.Result) {
 	if s.Store == nil {
 		return
 	}
-	rec, _ := json.Marshal(map[string]any{
-		"function":  res.Function,
-		"model":     res.Model,
-		"gpu":       res.GPU,
-		"hit":       res.Hit,
-		"latencyMs": res.Latency().Milliseconds(),
-		"loadMs":    res.LoadTime.Milliseconds(),
-		"inferMs":   res.InferTime.Milliseconds(),
-	})
-	s.Store.Put(fmt.Sprintf("latency/%s/%d", res.Function, res.ReqID), rec, 0)
+	bp := recBufPool.Get().(*[]byte)
+	buf := append((*bp)[:0], "latency/"...)
+	buf = append(buf, res.Function...)
+	buf = append(buf, '/')
+	buf = strconv.AppendInt(buf, res.ReqID, 10)
+	n := len(buf)
+
+	buf = append(buf, `{"function":`...)
+	buf = appendJSONString(buf, res.Function)
+	buf = append(buf, `,"gpu":`...)
+	buf = appendJSONString(buf, res.GPU)
+	buf = append(buf, `,"hit":`...)
+	buf = strconv.AppendBool(buf, res.Hit)
+	buf = append(buf, `,"inferMs":`...)
+	buf = strconv.AppendInt(buf, res.InferTime.Milliseconds(), 10)
+	buf = append(buf, `,"latencyMs":`...)
+	buf = strconv.AppendInt(buf, res.Latency().Milliseconds(), 10)
+	buf = append(buf, `,"loadMs":`...)
+	buf = strconv.AppendInt(buf, res.LoadTime.Milliseconds(), 10)
+	buf = append(buf, `,"model":`...)
+	buf = appendJSONString(buf, res.Model)
+	buf = append(buf, '}')
+	s.Store.Put(bytesKey(buf[:n]), buf[n:], 0)
+	*bp = buf[:0]
+	recBufPool.Put(bp)
 }
