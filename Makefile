@@ -18,7 +18,7 @@
 GO ?= go
 
 # Hot-path benchmarks compared by bench-save / bench-compare.
-BENCH_PATTERN ?= BenchmarkEngineFire|BenchmarkEngineCancel|BenchmarkScheduleDecision|BenchmarkScheduleRound1024|BenchmarkLaunchComplete1024|BenchmarkStreamingReplay|BenchmarkRouterRoute|BenchmarkMultiCellReplay|BenchmarkResNet18PredictB1|BenchmarkConv2D
+BENCH_PATTERN ?= BenchmarkEngineFire|BenchmarkEngineCancel|BenchmarkScheduleDecision|BenchmarkScheduleRound1024|BenchmarkLaunchComplete1024|BenchmarkStreamingReplay|BenchmarkWorkloadBuild|BenchmarkRouterRoute|BenchmarkMultiCellReplay|BenchmarkResNet18PredictB1|BenchmarkConv2D
 
 .PHONY: all build test race vt-test benchmark-test vet fmt fmt-check bench bench-smoke snapshot ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism bench-save bench-compare bench-regress vuln ci
 

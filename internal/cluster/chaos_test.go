@@ -178,6 +178,31 @@ func TestFailureDrainInterplay(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A budget of one attempt is retry off, not a retry budget
+			// spent: the interrupted attempt drops at once, attributed to
+			// the fault, and nothing re-queues.
+			name:  "fail-single-attempt",
+			retry: 1,
+			setup: func(t *testing.T, c *Cluster) []int64 {
+				failAt(t, c, 1*time.Second, victim)
+				return nil
+			},
+			reqs: func() []trace.Request {
+				return tinyWorkload(1, 0, "resnet18")
+			},
+			check: func(t *testing.T, rep Report) {
+				if rep.Requests != 0 || rep.Failed != 1 {
+					t.Fatalf("report = requests %d failed %d", rep.Requests, rep.Failed)
+				}
+				if rep.Interrupted != 1 || rep.Retries != 0 {
+					t.Errorf("interrupted %d retries %d, want 1/0", rep.Interrupted, rep.Retries)
+				}
+				if rep.FailedByReason["fault"] != 1 {
+					t.Errorf("failure split = %v, want fault: 1", rep.FailedByReason)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,6 +76,36 @@ func TestAddGPUImmediatelySchedulable(t *testing.T) {
 	}
 }
 
+// TestScaleToEdges pins ScaleTo at its boundaries: the current size adds
+// and removes nothing, growing by one adds exactly one, one GPU is still a
+// fleet, and zero is refused.
+func TestScaleToEdges(t *testing.T) {
+	cfg := testConfig(core.LALB)
+	cfg.Nodes, cfg.GPUsPerNode = 1, 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.GPUIDs()
+	added, removed, err := c.ScaleTo(len(before), 0)
+	if err != nil || len(added) != 0 || len(removed) != 0 || !reflect.DeepEqual(c.GPUIDs(), before) {
+		t.Fatalf("ScaleTo(current) = added %v, removed %v, %v; fleet %v, want %v untouched",
+			added, removed, err, c.GPUIDs(), before)
+	}
+	added, removed, err = c.ScaleTo(3, 0)
+	if err != nil || len(added) != 1 || len(removed) != 0 || c.SchedulableGPUs() != 3 {
+		t.Fatalf("ScaleTo(3) from 2 = added %v, removed %v, %v; %d schedulable", added, removed, err, c.SchedulableGPUs())
+	}
+	added, removed, err = c.ScaleTo(1, 0)
+	if err != nil || len(added) != 0 || len(removed) != 2 || c.SchedulableGPUs() != 1 {
+		t.Fatalf("ScaleTo(1) from 3 = added %v, removed %v, %v; %d schedulable", added, removed, err, c.SchedulableGPUs())
+	}
+	if _, _, err := c.ScaleTo(0, 0); err == nil {
+		t.Error("ScaleTo(0) accepted")
+	}
+	checkMembership(t, c)
+}
+
 func TestAddGPUColdStartDelaysSchedulability(t *testing.T) {
 	cfg := testConfig(core.LALBO3)
 	cfg.Nodes, cfg.GPUsPerNode = 1, 1

@@ -474,3 +474,20 @@ func mustEnqueue(t *testing.T, s *Scheduler, rs ...*Request) {
 		}
 	}
 }
+
+// TestRetryPolicyEdges pins where retry starts: MaxAttempts counts the
+// first try, so a budget of one grants no retry at all.
+func TestRetryPolicyEdges(t *testing.T) {
+	for _, tc := range []struct {
+		max     int
+		enabled bool
+	}{{0, false}, {1, false}, {2, true}} {
+		p := RetryPolicy{MaxAttempts: tc.max}
+		if p.Enabled() != tc.enabled {
+			t.Errorf("RetryPolicy{MaxAttempts: %d}.Enabled() = %v, want %v", tc.max, p.Enabled(), tc.enabled)
+		}
+		if p.Allows(1) != (tc.max >= 2) {
+			t.Errorf("RetryPolicy{MaxAttempts: %d}.Allows(1) = %v after one lost attempt", tc.max, p.Allows(1))
+		}
+	}
+}

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"gpufaas/internal/cache"
@@ -53,7 +54,7 @@ func DefaultWorkload(workingSet int) WorkloadParams {
 
 // synthDefaults returns a synthesizer config that preserves the published
 // trace statistics but keeps generation cheap: the tail only needs to be
-// large enough that TopN(workingSet) behaves like the real trace.
+// large enough that its working set behaves like the real trace's.
 func synthDefaults(seed int64) trace.SynthConfig {
 	return trace.SynthConfig{
 		Functions:            2000,
@@ -84,7 +85,7 @@ type BuiltWorkload struct {
 }
 
 // workloadTrace runs the §V-A1 construction up to (but excluding) the
-// request expansion: the normalized working-set trace, the
+// request expansion: the redistributed working-set trace, the
 // function→instance mapping, the derived zoo and the tracked top model.
 // Workload materializes the expansion; StreamWorkload wraps it in an
 // ArrivalStream.
@@ -99,7 +100,7 @@ func workloadTrace(p WorkloadParams, base *models.Zoo) (*trace.Trace, trace.Mode
 	if synth.Minutes < p.Minutes {
 		synth.Minutes = p.Minutes
 	}
-	tr, err := trace.Synthesize(synth)
+	fns, err := trace.WorkingSet(synth, p.Minutes, p.WorkingSet)
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
@@ -107,11 +108,7 @@ func workloadTrace(p WorkloadParams, base *models.Zoo) (*trace.Trace, trace.Mode
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	w, err := tr.FirstMinutes(p.Minutes).TopN(p.WorkingSet).
-		RedistributeMinutesBudgets(budgets, trace.WorkloadZipfS)
-	if err != nil {
-		return nil, nil, nil, "", err
-	}
+	w := trace.Redistribute(fns, budgets, trace.WorkloadZipfS)
 
 	// One model instance per working-set function, architectures dealt
 	// round-robin in size order so sizes spread evenly across popularity
@@ -124,7 +121,13 @@ func workloadTrace(p WorkloadParams, base *models.Zoo) (*trace.Trace, trace.Mode
 	instances := make([]models.Model, 0, len(w.Functions))
 	for i, fn := range w.Functions {
 		inst := bySize[i%len(bySize)]
-		inst.Name = fmt.Sprintf("%s@f%02d", inst.Name, i)
+		// "%s@f%02d" without fmt, whose pooled printer state makes the
+		// build's allocation count vary under the race detector.
+		pad := ""
+		if i < 10 {
+			pad = "0"
+		}
+		inst.Name = inst.Name + "@f" + pad + strconv.Itoa(i)
 		instances = append(instances, inst)
 		mapping[fn] = inst.Name
 	}

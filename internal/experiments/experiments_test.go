@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -116,19 +117,52 @@ func TestWorkloadWorkingSetBounds(t *testing.T) {
 }
 
 // TestWorkloadBuildAllocs pins what building one figure cell's workload
-// costs: 152 allocations with the trace in slabs, where a string and a row
-// per synthesized function plus a second copy of every row made it 8,009.
-// What is left is per working-set function (instance names, the mapping,
-// the zoo) and the request expansion's buffers. The bound is the
-// measurement plus 20 %.
+// costs: 85 allocations now that the working set is selected from
+// per-function totals, requests are expanded straight into the result and
+// instance names skip fmt — 152 when the 2,000-function trace was stored,
+// copied and named, and 8,009 before the trace lived in slabs. What is
+// left is per working-set function (instance names, the mapping, the zoo)
+// plus the synthesizer's weights and totals and the result slice. The
+// bound is the measurement plus 20 %.
 func TestWorkloadBuildAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(10, func() {
 		if _, err := Workload(DefaultWorkload(35), models.Default()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > 182 {
-		t.Errorf("Workload(DefaultWorkload(35)) allocates %.0f times, want <= 182", avg)
+	t.Logf("Workload(DefaultWorkload(35)) allocates %.0f times", avg)
+	if avg > 102 {
+		t.Errorf("Workload(DefaultWorkload(35)) allocates %.0f times, want <= 102", avg)
+	}
+}
+
+// TestWorkloadBuildBytes pins the bytes one figure cell's workload build
+// allocates, averaged over builds: 231 kB, of which the 1,950-request
+// result slice is 144 KiB and the synthesizer's per-function weights,
+// thresholds and totals 48 KiB — 734 kB when the whole 2,000-function
+// trace was stored twice and named. The bound is the measurement plus
+// 20 %.
+func TestWorkloadBuildBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const builds = 10
+	build := func() {
+		if _, err := Workload(DefaultWorkload(35), models.Default()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("Workload(DefaultWorkload(35)) allocates %d B", per)
+	if per > 276_700 {
+		t.Errorf("Workload(DefaultWorkload(35)) allocates %d B, want <= 276700", per)
 	}
 }
 

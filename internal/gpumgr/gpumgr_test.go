@@ -273,6 +273,49 @@ func TestQuotaMemory(t *testing.T) {
 	}
 }
 
+// TestQuotaExactBoundary pins both quota comparisons at their edge: a
+// launch that brings the tenant exactly to MaxGPUTime or MaxMemoryBytes is
+// admitted, and one nanosecond or one byte less of quota refuses it.
+func TestQuotaExactBoundary(t *testing.T) {
+	launch := func(q *Quota) (*fixture, error) {
+		f := newFixture(t, nil, 1)
+		if q != nil {
+			f.mgr.SetQuota("t1", *q)
+		}
+		r := req(1, "resnet18") // a miss: load + inference, one new process
+		r.Tenant = "t1"
+		_, err := f.mgr.Execute(r, "node0/gpu0", 0)
+		return f, err
+	}
+	f, err := launch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.engine.Run(0)
+	gpuTime := f.mgr.TenantGPUTime("t1")
+	mdl, _ := f.zoo.Get("resnet18")
+	memory := mdl.OccupancyBytes()
+
+	for _, tc := range []struct {
+		name  string
+		quota Quota
+		ok    bool
+	}{
+		{"gpu time exactly", Quota{MaxGPUTime: gpuTime}, true},
+		{"gpu time 1ns short", Quota{MaxGPUTime: gpuTime - 1}, false},
+		{"memory exactly", Quota{MaxMemoryBytes: memory}, true},
+		{"memory 1 byte short", Quota{MaxMemoryBytes: memory - 1}, false},
+	} {
+		_, err := launch(&tc.quota)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v, want the launch admitted", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrQuota) {
+			t.Errorf("%s: %v, want ErrQuota", tc.name, err)
+		}
+	}
+}
+
 func TestNoProfileError(t *testing.T) {
 	f := newFixture(t, nil, 1)
 	// A device with a GPU type that has no profiles.

@@ -41,12 +41,7 @@ func TestWorkloadZipfSMatchesPaperStatistic(t *testing.T) {
 }
 
 func TestRedistributeMinutes(t *testing.T) {
-	tr := &Trace{
-		Functions: []string{"f0", "f1", "f2"},
-		Counts:    [][]int{{100, 100}, {10, 10}, {1, 1}},
-		Minutes:   2,
-	}
-	out := tr.RedistributeMinutes(325, WorkloadZipfS)
+	out := Redistribute([]string{"f0", "f1", "f2"}, []int{325, 325}, WorkloadZipfS)
 	for m := 0; m < 2; m++ {
 		sum := 0
 		for i := range out.Counts {
@@ -66,8 +61,7 @@ func TestRedistributeMinutes(t *testing.T) {
 }
 
 func TestRedistributeEmptyTrace(t *testing.T) {
-	tr := &Trace{Minutes: 3}
-	out := tr.RedistributeMinutes(100, 0.4)
+	out := Redistribute(nil, []int{100, 100, 100}, 0.4)
 	if len(out.Counts) != 0 || out.Minutes != 3 {
 		t.Errorf("empty redistribution = %+v", out)
 	}
@@ -77,14 +71,9 @@ func TestRedistributeEmptyTrace(t *testing.T) {
 // and budget, with any skew.
 func TestRedistributeBudgetProperty(t *testing.T) {
 	f := func(nFuncs, budget uint8, skew uint8) bool {
-		n := int(nFuncs)%40 + 1
-		tr := &Trace{Minutes: 1}
-		for i := 0; i < n; i++ {
-			tr.Functions = append(tr.Functions, "f")
-			tr.Counts = append(tr.Counts, []int{1})
-		}
+		fns := make([]string, int(nFuncs)%40+1)
 		s := float64(skew) / 64.0 // 0..4
-		out := tr.RedistributeMinutes(int(budget), s)
+		out := Redistribute(fns, []int{int(budget)}, s)
 		sum := 0
 		for i := range out.Counts {
 			sum += out.Counts[i][0]

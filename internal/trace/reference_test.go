@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// The reference stages below are the implementations the slab-backed ones
-// replaced — a string per name from fmt.Sprintf, a []int per row, a stable
-// reflection sort over every function's total, a fracs slice per minute —
-// kept as the oracles the new ones must match value for value.
+// The reference stages below are the staged pipeline the workload path
+// replaced — a string per name from fmt.Sprintf, a []int per row, a stored
+// Functions × Minutes trace truncated by a copy, a stable reflection sort
+// over every function's total, exp(-mean) on every draw, a fracs slice per
+// minute — kept as the oracles the new code must match value for value.
 
 func refSynthesize(cfg SynthConfig) *Trace {
 	shape, err := cfg.Shape.normalized(cfg.Minutes)
@@ -58,7 +59,7 @@ func refSynthesize(cfg SynthConfig) *Trace {
 		factor := shape.Factor(m)
 		for i := 0; i < cfg.Functions; i++ {
 			mean := weights[i] * float64(cfg.InvocationsPerMinute) * factor
-			t.Counts[i][m] = poisson(rng, mean)
+			t.Counts[i][m] = poisson(rng, mean, math.Exp(-mean))
 		}
 	}
 	return t
@@ -99,19 +100,14 @@ func refFirstMinutes(t *Trace, m int) *Trace {
 	return out
 }
 
-// refApportion is the largest-remainder loop NormalizeMinutes and
-// RedistributeMinutesBudgets each carried: exact(i, m) is row i's exact
-// share of minute m's budget, ok(m) whether the minute is apportioned.
-func refApportion(t *Trace, budget func(m int) int, ok func(m int) bool, exact func(i, m int) float64) *Trace {
-	out := &Trace{Functions: append([]string(nil), t.Functions...), Minutes: t.Minutes}
+func refRedistributeMinutesBudgets(t *Trace, budgets []int, s float64) *Trace {
+	weights := ZipfWeights(len(t.Counts), s)
+	out := &Trace{Functions: append([]string(nil), t.Functions...), Minutes: len(budgets)}
 	out.Counts = make([][]int, len(t.Counts))
 	for i := range out.Counts {
-		out.Counts[i] = make([]int, t.Minutes)
+		out.Counts[i] = make([]int, len(budgets))
 	}
-	for m := 0; m < t.Minutes; m++ {
-		if !ok(m) {
-			continue
-		}
+	for m, budget := range budgets {
 		type frac struct {
 			idx  int
 			rem  float64
@@ -120,13 +116,13 @@ func refApportion(t *Trace, budget func(m int) int, ok func(m int) bool, exact f
 		fracs := make([]frac, 0, len(t.Counts))
 		assigned := 0
 		for i := range t.Counts {
-			e := exact(i, m)
+			e := weights[i] * float64(budget)
 			base := int(math.Floor(e))
 			assigned += base
 			fracs = append(fracs, frac{idx: i, rem: e - float64(base), base: base})
 		}
 		sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].rem > fracs[b].rem })
-		left := budget(m) - assigned
+		left := budget - assigned
 		for k := range fracs {
 			n := fracs[k].base
 			if k < left {
@@ -136,27 +132,6 @@ func refApportion(t *Trace, budget func(m int) int, ok func(m int) bool, exact f
 		}
 	}
 	return out
-}
-
-func refNormalizeMinutes(t *Trace, budget int) *Trace {
-	colSum := make([]int64, t.Minutes)
-	for _, row := range t.Counts {
-		for m, c := range row {
-			colSum[m] += int64(c)
-		}
-	}
-	return refApportion(t,
-		func(int) int { return budget },
-		func(m int) bool { return colSum[m] != 0 },
-		func(i, m int) float64 { return float64(t.Counts[i][m]) * float64(budget) / float64(colSum[m]) })
-}
-
-func refRedistributeMinutesBudgets(t *Trace, budgets []int, s float64) *Trace {
-	weights := ZipfWeights(len(t.Counts), s)
-	return refApportion(t,
-		func(m int) int { return budgets[m] },
-		func(int) bool { return true },
-		func(i, m int) float64 { return weights[i] * float64(budgets[m]) })
 }
 
 // sameTrace holds got to want: the same value, and the same CSV bytes.
@@ -178,10 +153,9 @@ func sameTrace(t *testing.T, what string, got, want *Trace) {
 	}
 }
 
-// rowsIndependent checks the slab layout's two promises on a built trace:
-// appending to a row cannot reach the next row, and the trace shares no
-// storage with the trace it was derived from.
-func rowsIndependent(t *testing.T, what string, built, from *Trace) {
+// rowsCapped checks the slab layout's promise on a built trace: appending
+// to a row cannot reach the next row.
+func rowsCapped(t *testing.T, what string, built *Trace) {
 	t.Helper()
 	for i, row := range built.Counts {
 		if cap(row) != len(row) {
@@ -195,94 +169,114 @@ func rowsIndependent(t *testing.T, what string, built, from *Trace) {
 			t.Errorf("%s: append to row 0 reached row 1", what)
 		}
 	}
-	if from == nil || len(built.Counts) == 0 || built.Minutes == 0 {
-		return
-	}
-	snapshot := refFirstMinutes(from, from.Minutes)
-	for i := range built.Counts {
-		built.Functions[i] = "scribbled"
-		for m := range built.Counts[i] {
-			built.Counts[i][m] = -1
-		}
-	}
-	if !reflect.DeepEqual(from, snapshot) {
-		t.Errorf("%s aliases its input", what)
+}
+
+// shapes are the synthesizer's three load shapes, each left to its
+// defaults.
+var shapes = []Shape{{}, {Kind: ShapeDiurnal}, {Kind: ShapeBurst}}
+
+// synthCfg is the figures' synthesizer config over the given tail, length,
+// seed and shape.
+func synthCfg(functions, minutes int, seed int64, shape Shape) SynthConfig {
+	return SynthConfig{
+		Functions:            functions,
+		Minutes:              minutes,
+		InvocationsPerMinute: 40000,
+		TopShare:             0.56,
+		TopCount:             15,
+		Seed:                 seed,
+		Shape:                shape,
 	}
 }
 
-// TestSlabStagesMatchReference drives every stage of the workload pipeline
-// and its reference over traces with and without a long tail, and over an
-// all-equal tail where every rank past the hot set is decided by a tie.
+// TestSlabStagesMatchReference drives the slab-backed stages and their
+// references over traces with and without a long tail. Synthesize runs
+// under every load shape, at the figures' 6 minutes and at 180 (a diurnal
+// curve over three hours, thirty bursts), so the shared draw loop's
+// hoisted threshold provably leaves it — and tracegen's CSV — value for
+// value what it was.
 func TestSlabStagesMatchReference(t *testing.T) {
 	for _, functions := range []int{15, 500, 2000} {
-		cfg := SynthConfig{
-			Functions:            functions,
-			Minutes:              6,
-			InvocationsPerMinute: 40000,
-			TopShare:             0.56,
-			TopCount:             15,
-			Seed:                 int64(functions),
+		for _, minutes := range []int{6, 180} {
+			for _, shape := range shapes {
+				cfg := synthCfg(functions, minutes, int64(functions+minutes), shape)
+				synth, err := Synthesize(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("Synthesize(%d x %d, %q)", functions, minutes, shape.Kind)
+				sameTrace(t, what, synth, refSynthesize(cfg))
+				rowsCapped(t, what, synth)
+			}
 		}
-		synth, err := Synthesize(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := refSynthesize(cfg)
-		sameTrace(t, fmt.Sprintf("Synthesize(%d)", functions), synth, ref)
-		rowsIndependent(t, "Synthesize", synth, nil)
+		w := refTopN(refSynthesize(synthCfg(functions, 6, int64(functions), Shape{})), 35)
+		budgets := []int{325, 1, 130, 520, 325, 17}
+		what := fmt.Sprintf("Redistribute(%d)", len(w.Functions))
+		got := Redistribute(append([]string(nil), w.Functions...), budgets, WorkloadZipfS)
+		sameTrace(t, what, got, refRedistributeMinutesBudgets(w, budgets, WorkloadZipfS))
+		rowsCapped(t, what, got)
+	}
+}
 
-		flat := refFirstMinutes(ref, ref.Minutes)
-		for i := cfg.TopCount; i < functions; i++ {
-			for m := range flat.Counts[i] {
-				flat.Counts[i][m] = 7
+// TestWorkingSetMatchesReference holds WorkingSet to the staged pipeline it
+// replaced — synthesize, truncate, rank by a stable sort, keep the top n —
+// over seeds, tails, shapes, windows shorter than, equal to and longer than
+// the trace, and working sets from empty to past the function count.
+func TestWorkingSetMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			for _, functions := range []int{15, 2000} {
+				for _, shape := range shapes {
+					cfg := synthCfg(functions, 6, seed, shape)
+					ref := refSynthesize(cfg)
+					for _, m := range []int{3, 6, 9} {
+						// refTopN(window, n) is the first n rows of one stable
+						// sort, so every n reads its answer off the full ranking.
+						ranking := refTopN(refFirstMinutes(ref, m), functions).Functions
+						for _, n := range []int{0, 1, 15, 16, 25, 35, 512, functions, functions + 1} {
+							got, err := WorkingSet(cfg, m, n)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var want []string // refTopN(window, 0) names nothing: nil
+							if n > 0 {
+								want = ranking[:min(n, functions)]
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%d functions, %q: WorkingSet(%d minutes, %d) = %v, want %v",
+									functions, shape.Kind, m, n, got, want)
+							}
+						}
+					}
+				}
 			}
-		}
-		for name, src := range map[string]*Trace{"synth": ref, "flat-tail": flat} {
-			for _, m := range []int{3, 6, 9} {
-				what := fmt.Sprintf("%s/%d FirstMinutes(%d)", name, functions, m)
-				sameTrace(t, what, src.FirstMinutes(m), refFirstMinutes(src, m))
-				rowsIndependent(t, what, src.FirstMinutes(m), src)
-			}
-			for _, n := range []int{1, 15, 16, 25, 35, functions, functions + 10} {
-				what := fmt.Sprintf("%s/%d TopN(%d)", name, functions, n)
-				sameTrace(t, what, src.TopN(n), refTopN(src, n))
-				rowsIndependent(t, what, src.TopN(n), src)
-			}
-			w := refTopN(src, 35)
-			what := fmt.Sprintf("%s/%d NormalizeMinutes", name, functions)
-			sameTrace(t, what, w.NormalizeMinutes(325), refNormalizeMinutes(w, 325))
-			rowsIndependent(t, what, w.NormalizeMinutes(325), w)
-			budgets := []int{325, 1, 130, 520, 325, 17}
-			what = fmt.Sprintf("%s/%d RedistributeMinutesBudgets", name, functions)
-			got, err := w.RedistributeMinutesBudgets(budgets, WorkloadZipfS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTrace(t, what, got, refRedistributeMinutesBudgets(w, budgets, WorkloadZipfS))
-			rowsIndependent(t, what, got, w)
-		}
+		})
 	}
 }
 
 // TestTopNTiesAreCommon pins why the tie-break matters on the real shape,
 // not only on a constructed one: over the figure grid's seeds and working
 // sets, some working sets end on a function that shares its total with one
-// left outside — and TopN still picks what the stable sort picked.
+// left outside — and WorkingSet still picks what the stable sort picked.
 func TestTopNTiesAreCommon(t *testing.T) {
 	tiedCuts := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		cfg := SynthConfig{Functions: 2000, Minutes: 6, InvocationsPerMinute: 40000, TopShare: 0.56, TopCount: 15, Seed: seed}
-		tr, err := Synthesize(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := synthCfg(2000, 6, seed, Shape{})
+		tr := refSynthesize(cfg)
 		totals := tr.FunctionTotals()
 		sort.Slice(totals, func(i, j int) bool { return totals[i] > totals[j] })
 		for _, ws := range []int{25, 35} {
 			if totals[ws-1] == totals[ws] {
 				tiedCuts++
 			}
-			sameTrace(t, fmt.Sprintf("seed %d TopN(%d)", seed, ws), tr.TopN(ws), refTopN(tr, ws))
+			got, err := WorkingSet(cfg, 6, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refTopN(tr, ws).Functions; !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d WorkingSet(%d) = %v, want %v", seed, ws, got, want)
+			}
 		}
 	}
 	if tiedCuts == 0 {
@@ -326,24 +320,26 @@ func TestTopRankedMatchesSort(t *testing.T) {
 	}
 }
 
+// TestTopNFirstMinutesClampNegative pins WorkingSet's clamps at their low
+// ends: a negative working set is empty, and a negative window ranks
+// all-zero totals, which leaves the first rows in row order.
 func TestTopNFirstMinutesClampNegative(t *testing.T) {
-	tr := synthSmall(t)
-	if got := tr.TopN(-1); len(got.Functions) != 0 || len(got.Counts) != 0 || got.Minutes != tr.Minutes {
-		t.Errorf("TopN(-1) = %d functions x %d minutes, want an empty trace", len(got.Functions), got.Minutes)
+	if got, err := WorkingSet(smallCfg, 6, -1); err != nil || got != nil {
+		t.Errorf("WorkingSet(6 minutes, -1) = %v, %v, want an empty working set", got, err)
 	}
-	got := tr.FirstMinutes(-1)
-	if got.Minutes != 0 || len(got.Counts) != len(tr.Counts) {
-		t.Fatalf("FirstMinutes(-1) = %d rows x %d minutes, want %d x 0", len(got.Counts), got.Minutes, len(tr.Counts))
+	got, err := WorkingSet(smallCfg, -1, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
-		t.Error(err)
+	if want := []string{"func-00000", "func-00001", "func-00002"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("WorkingSet(-1 minutes, 3) = %v, want %v", got, want)
 	}
 }
 
 // TestSynthNamesMatchSprintf covers the names past the width the buffer is
 // sized for: six-digit indices make it grow mid-way.
 func TestSynthNamesMatchSprintf(t *testing.T) {
-	names := synthNames(100_003)
+	names := synthNames(100_003, func(k int) int { return k })
 	for i, got := range names {
 		if want := fmt.Sprintf("func-%05d", i); got != want {
 			t.Fatalf("name %d = %q, want %q", i, got, want)

@@ -114,15 +114,10 @@ func TestSynthesizeShapedLoad(t *testing.T) {
 }
 
 func TestRedistributeMinutesBudgets(t *testing.T) {
-	tr := &Trace{
-		Functions: []string{"a", "b", "c"},
-		Counts:    [][]int{{10, 10}, {5, 5}, {1, 1}},
-		Minutes:   2,
-	}
 	budgets := []int{50, 200}
-	out, err := tr.RedistributeMinutesBudgets(budgets, WorkloadZipfS)
-	if err != nil {
-		t.Fatal(err)
+	out := Redistribute([]string{"a", "b", "c"}, budgets, WorkloadZipfS)
+	if out.Minutes != len(budgets) {
+		t.Fatalf("Minutes = %d, want one per budget", out.Minutes)
 	}
 	for m, want := range budgets {
 		sum := 0
@@ -132,10 +127,5 @@ func TestRedistributeMinutesBudgets(t *testing.T) {
 		if sum != want {
 			t.Errorf("minute %d sums to %d, want %d", m, sum, want)
 		}
-	}
-	// A mismatched budget vector is a caller bug: error, not an empty
-	// workload.
-	if _, err := tr.RedistributeMinutesBudgets([]int{1}, WorkloadZipfS); err == nil {
-		t.Error("mismatched budget length should fail")
 	}
 }

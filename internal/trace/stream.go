@@ -24,13 +24,11 @@ type ArrivalStream struct {
 	rng     *rand.Rand
 	chunk   int
 
-	minute    int
-	id        int64
-	total     int64
-	minuteFns []string  // scratch for one minute's expansion
-	buf       []Request // current minute's requests
-	bufPos    int
-	out       []Request // reusable batch returned by Next
+	minute int
+	id     int64
+	total  int64
+	buf    []Request // current minute's requests
+	bufPos int
 }
 
 // Stream returns an ArrivalStream over the trace. chunk caps the number
@@ -68,45 +66,41 @@ func (s *ArrivalStream) Next() ([]Request, bool) {
 		if s.minute >= s.t.Minutes {
 			return nil, false
 		}
-		s.fillMinute()
+		s.buf, s.bufPos = s.appendMinute(s.buf[:0]), 0
 	}
 	n := len(s.buf) - s.bufPos
 	if s.chunk > 0 && n > s.chunk {
 		n = s.chunk
 	}
-	s.out = append(s.out[:0], s.buf[s.bufPos:s.bufPos+n]...)
+	b := s.buf[s.bufPos : s.bufPos+n : s.bufPos+n]
 	s.bufPos += n
-	return s.out, true
+	return b, true
 }
 
-// fillMinute materializes the next minute into buf — the exact
-// per-minute expansion BuildRequests performs: invocations of the
-// minute's functions shuffled uniformly and spread evenly across the
-// minute.
-func (s *ArrivalStream) fillMinute() {
+// appendMinute appends the next minute's requests to dst — the one
+// per-minute expansion the stream's buffer and BuildRequests' result slice
+// share: invocations of the minute's functions shuffled uniformly and
+// spread evenly across the minute. The requests are shuffled where they
+// land, with the same swaps a shuffle of their function names would make.
+func (s *ArrivalStream) appendMinute(dst []Request) []Request {
 	t, m := s.t, s.minute
 	s.minute++
-	s.minuteFns = s.minuteFns[:0]
+	start := len(dst)
 	for i, row := range t.Counts {
+		fn := t.Functions[i]
+		r := Request{Function: fn, Model: s.mapping[fn], BatchSize: s.batch}
 		for k := 0; k < row[m]; k++ {
-			s.minuteFns = append(s.minuteFns, t.Functions[i])
+			dst = append(dst, r)
 		}
 	}
-	s.rng.Shuffle(len(s.minuteFns), func(a, b int) {
-		s.minuteFns[a], s.minuteFns[b] = s.minuteFns[b], s.minuteFns[a]
-	})
-	n := len(s.minuteFns)
-	s.buf = s.buf[:0]
-	s.bufPos = 0
-	for k, fn := range s.minuteFns {
+	reqs := dst[start:]
+	s.rng.Shuffle(len(reqs), func(a, b int) { reqs[a], reqs[b] = reqs[b], reqs[a] })
+	n := len(reqs)
+	for k := range reqs {
 		offset := time.Duration(float64(time.Minute) * float64(k) / float64(max(n, 1)))
-		s.buf = append(s.buf, Request{
-			ID:        s.id,
-			Function:  fn,
-			Model:     s.mapping[fn],
-			Arrival:   time.Duration(m)*time.Minute + offset,
-			BatchSize: s.batch,
-		})
+		reqs[k].ID = s.id
+		reqs[k].Arrival = time.Duration(m)*time.Minute + offset
 		s.id++
 	}
+	return dst
 }

@@ -39,21 +39,29 @@ func buildRequestsOracle(t *Trace, mapping ModelMapping, batch int, rng *rand.Ra
 	return reqs
 }
 
+// roundRobinMapping deals functions onto models in rank order, wrapping
+// when there are more functions than models.
+func roundRobinMapping(functions, models []string) ModelMapping {
+	mm := make(ModelMapping, len(functions))
+	for i, f := range functions {
+		mm[f] = models[i%len(models)]
+	}
+	return mm
+}
+
+// streamWorkload is a working-set trace whose minutes range from full
+// through sparse (most rows zero) to empty.
 func streamWorkload(t *testing.T, seed int64) (*Trace, ModelMapping) {
 	t.Helper()
-	tr, err := Synthesize(SynthConfig{
+	fns, err := WorkingSet(SynthConfig{
 		Functions: 200, Minutes: 5, InvocationsPerMinute: 400,
 		TopShare: 0.56, TopCount: 15, Seed: seed,
-	})
+	}, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tr.TopN(20).NormalizeMinutes(120)
-	mapping, err := EvenSizeMapping(w.Functions, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, mapping
+	w := Redistribute(fns, []int{120, 3, 120, 0, 57}, WorkloadZipfS)
+	return w, roundRobinMapping(w.Functions, []string{"a", "b", "c"})
 }
 
 // TestStreamMatchesBuildRequests is the streaming≡materialized property

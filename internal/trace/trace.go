@@ -1,22 +1,27 @@
 // Package trace models the Microsoft Azure Functions invocation trace used
 // in the paper's evaluation (§V-A1, Shahrad et al., ATC'20). It provides:
 //
-//   - a parser for the published CSV format (one row per function, one
-//     column per minute, cell = invocations of that function that minute);
+//   - a parser and writer for the published CSV format (one row per
+//     function, one column per minute, cell = invocations of that function
+//     that minute);
 //   - a synthesizer that reproduces the trace's published shape — a highly
 //     skewed popularity distribution where the top-15 functions account
 //     for 56% of per-minute invocations and every function outside the top
 //     15 contributes less than 0.01% each;
-//   - the paper's workload-construction pipeline: keep the top-N most
-//     frequent functions ("working set"), normalize each minute to a fixed
-//     request budget (325 requests for the 12-GPU testbed), map functions
-//     onto models, and randomize arrival order within each minute.
+//   - the paper's workload construction, the three stages experiments
+//     runs: WorkingSet keeps the top-N most frequent functions of the
+//     synthesized trace's first minutes (the "working set"), Redistribute
+//     spreads each minute's request budget (325 requests for the 12-GPU
+//     testbed, or a shape's per-minute budgets) over them by rank, and
+//     BuildRequests / Stream expand that trace into requests, shuffled
+//     within each minute.
 //
-// A figure run builds this pipeline from scratch, once per cell, over a
-// 2,000-function long tail of which 15–35 rows survive. So a built trace is
-// three objects however many functions it has — the name slice, the row
-// headers, and one []int slab the rows are windows of — and the working set
-// is selected from the tail, not sorted out of it.
+// A figure run builds this from scratch, once per cell, over a
+// 2,000-function long tail of which 15–35 functions survive. Since the
+// working set is chosen by each function's total alone, the tail is drawn
+// but never stored — WorkingSet keeps one total per function and names
+// only the survivors — and the working set is selected from the totals,
+// not sorted out of them.
 package trace
 
 import (
@@ -35,15 +40,11 @@ import (
 
 // Trace holds per-function, per-minute invocation counts.
 //
-// In a trace built by this package (Synthesize and the pipeline stages
-// FirstMinutes, TopN, NormalizeMinutes, RedistributeMinutes*) the rows of
-// Counts are consecutive windows of one backing array, each with its
-// capacity capped at its length: writing a cell is local to its row, and
-// appending to a row reallocates that row instead of running into the next.
-// A stage never aliases its input — it copies the counts and the name slice
-// it keeps — so a trace stays valid, and unchanged, whatever is done to the
-// traces derived from it. ParseCSV, which learns the row count as it reads,
-// allocates its rows one by one.
+// In a trace built by Synthesize or Redistribute the rows of Counts are
+// consecutive windows of one backing array, each with its capacity capped
+// at its length: writing a cell is local to its row, and appending to a row
+// reallocates that row instead of running into the next. ParseCSV, which
+// learns the row count as it reads, allocates its rows one by one.
 type Trace struct {
 	// Functions[i] is the identifier of row i.
 	Functions []string
@@ -63,16 +64,6 @@ func newRows(n, m int) [][]int {
 		rows[i] = slab[i*m : (i+1)*m : (i+1)*m]
 	}
 	return rows
-}
-
-// blank returns a trace of t's functions (the name slice copied) over m
-// minutes, every count zero.
-func (t *Trace) blank(m int) *Trace {
-	return &Trace{
-		Functions: append([]string(nil), t.Functions...),
-		Counts:    newRows(len(t.Counts), m),
-		Minutes:   m,
-	}
 }
 
 // Validate checks internal consistency.
@@ -174,92 +165,6 @@ func topRanked(totals []int64, n int) []ranked {
 	return buf[:n]
 }
 
-// TopN returns a trace restricted to the n most-invoked functions — the
-// paper's "working set" extraction. Functions are renumbered in descending
-// popularity order so index 0 is the hottest function; functions with equal
-// totals keep their original relative order. The tail of the Azure shape
-// totals small integers, so such ties decide which functions the larger
-// working sets end with. n is clamped to [0, len(Functions)].
-func (t *Trace) TopN(n int) *Trace {
-	n = min(max(n, 0), len(t.Counts))
-	out := &Trace{Minutes: t.Minutes}
-	if n == 0 {
-		return out
-	}
-	out.Functions = make([]string, n)
-	out.Counts = newRows(n, t.Minutes)
-	for k, r := range topRanked(t.FunctionTotals(), n) {
-		out.Functions[k] = t.Functions[r.idx]
-		copy(out.Counts[k], t.Counts[r.idx])
-	}
-	return out
-}
-
-// FirstMinutes returns a trace truncated to the first m minutes (the paper
-// extracts the first 6 minutes). m is clamped to [0, Minutes].
-func (t *Trace) FirstMinutes(m int) *Trace {
-	out := t.blank(min(max(m, 0), t.Minutes))
-	for i, row := range t.Counts {
-		copy(out.Counts[i], row)
-	}
-	return out
-}
-
-// frac is one row's share of a minute's budget while it is apportioned.
-type frac struct {
-	idx  int
-	rem  float64
-	base int
-}
-
-// apportionMinute sets column m of rows by largest-remainder apportionment:
-// row i gets floor(exact(i)), and the budget the floors leave over goes, one
-// request each, to the largest fractional parts (ties to the lower row), so
-// the column sums to budget exactly. fracs is scratch with room for one
-// entry per row, reused from minute to minute.
-func apportionMinute(rows [][]int, m, budget int, fracs []frac, exact func(i int) float64) {
-	fracs = fracs[:0]
-	assigned := 0
-	for i := range rows {
-		e := exact(i)
-		base := int(math.Floor(e))
-		assigned += base
-		fracs = append(fracs, frac{idx: i, rem: e - float64(base), base: base})
-	}
-	slices.SortStableFunc(fracs, func(a, b frac) int { return cmp.Compare(b.rem, a.rem) })
-	left := budget - assigned
-	for k, f := range fracs {
-		n := f.base
-		if k < left {
-			n++
-		}
-		rows[f.idx][m] = n
-	}
-}
-
-// NormalizeMinutes scales every minute so its column sum equals budget
-// requests (the paper normalizes to 325 requests/minute for its 12-GPU
-// testbed), preserving each function's within-minute share. Rounding
-// residue is assigned to the most popular functions of that minute via
-// largest-remainder apportionment, so the column sums are exact.
-func (t *Trace) NormalizeMinutes(budget int) *Trace {
-	out := t.blank(t.Minutes)
-	fracs := make([]frac, 0, len(t.Counts))
-	for m := 0; m < t.Minutes; m++ {
-		var colSum int64
-		for i := range t.Counts {
-			colSum += int64(t.Counts[i][m])
-		}
-		if colSum == 0 {
-			continue
-		}
-		apportionMinute(out.Counts, m, budget, fracs, func(i int) float64 {
-			return float64(t.Counts[i][m]) * float64(budget) / float64(colSum)
-		})
-	}
-	return out
-}
-
 // ZipfWeights returns normalized rank weights w_r ∝ (r+1)^-s for r in
 // [0, n). s = 0 is uniform; larger s is more skewed.
 func ZipfWeights(n int, s float64) []float64 {
@@ -284,43 +189,54 @@ func ZipfWeights(n int, s float64) []float64 {
 // the larger working sets.
 const WorkloadZipfS = 0.4
 
-// RedistributeMinutes reassigns each minute's budget across the trace's
-// functions (assumed ordered by descending popularity, as TopN produces)
-// according to Zipf rank weights with exponent s, using largest-remainder
-// apportionment so each minute sums exactly to budget. This implements the
-// paper's workload construction: "we randomly distribute the invocations
-// of different functions while maintaining the normalized total
-// invocations per minute" (§V-A1).
-func (t *Trace) RedistributeMinutes(budget int, s float64) *Trace {
-	budgets := make([]int, t.Minutes)
-	for m := range budgets {
-		budgets[m] = budget
-	}
-	out, _ := t.RedistributeMinutesBudgets(budgets, s) // lengths match by construction
-	return out
+// frac is one row's share of a minute's budget while it is apportioned.
+type frac struct {
+	idx  int
+	rem  float64
+	base int
 }
 
-// RedistributeMinutesBudgets is RedistributeMinutes with a per-minute
-// budget vector (len == Minutes), the hook through which arrival shapes
-// (diurnal, burst) reach the workload: minute m's column sums to
-// budgets[m] exactly. A budget vector of the wrong length is an error,
-// not an empty trace.
-func (t *Trace) RedistributeMinutesBudgets(budgets []int, s float64) (*Trace, error) {
-	if len(budgets) != t.Minutes {
-		return nil, fmt.Errorf("trace: %d budgets for %d minutes", len(budgets), t.Minutes)
+// Redistribute builds the working-set trace: it spreads each minute's
+// budget across functions (ordered by descending popularity, as WorkingSet
+// returns them) according to Zipf rank weights with exponent s, so minute
+// m's column sums to budgets[m] exactly. This implements the paper's
+// workload construction: "we randomly distribute the invocations of
+// different functions while maintaining the normalized total invocations
+// per minute" (§V-A1); a shape's Budgets is how diurnal and burst load
+// reach it. The trace keeps functions as its Functions, uncopied.
+//
+// Each column is apportioned by largest remainder: row i gets the floor of
+// its exact share weight(i)·budget, and the budget the floors leave over
+// goes, one request each, to the largest fractional parts (ties to the
+// lower row).
+func Redistribute(functions []string, budgets []int, s float64) *Trace {
+	t := &Trace{
+		Functions: functions,
+		Counts:    newRows(len(functions), len(budgets)),
+		Minutes:   len(budgets),
 	}
-	out := t.blank(t.Minutes)
-	if len(t.Counts) == 0 {
-		return out, nil
-	}
-	weights := ZipfWeights(len(t.Counts), s)
-	fracs := make([]frac, 0, len(t.Counts))
+	weights := ZipfWeights(len(functions), s)
+	fracs := make([]frac, 0, len(functions))
 	for m, budget := range budgets {
-		apportionMinute(out.Counts, m, budget, fracs, func(i int) float64 {
-			return weights[i] * float64(budget)
-		})
+		fracs = fracs[:0]
+		assigned := 0
+		for i, w := range weights {
+			e := w * float64(budget)
+			base := int(math.Floor(e))
+			assigned += base
+			fracs = append(fracs, frac{idx: i, rem: e - float64(base), base: base})
+		}
+		slices.SortStableFunc(fracs, func(a, b frac) int { return cmp.Compare(b.rem, a.rem) })
+		left := budget - assigned
+		for k, f := range fracs {
+			n := f.base
+			if k < left {
+				n++
+			}
+			t.Counts[f.idx][m] = n
+		}
 	}
-	return out, nil
+	return t
 }
 
 // Request is one function invocation materialized from the trace.
@@ -345,21 +261,6 @@ type Request struct {
 // models with different sizes are distributed evenly in the workload".
 type ModelMapping map[string]string
 
-// EvenSizeMapping maps functions (in descending popularity order) onto the
-// given models such that model sizes are distributed evenly across the
-// popularity ranks: models are taken in size order and dealt round-robin,
-// wrapping when the working set exceeds the model count.
-func EvenSizeMapping(functions []string, modelNames []string) (ModelMapping, error) {
-	if len(modelNames) == 0 {
-		return nil, fmt.Errorf("trace: no models to map onto")
-	}
-	mm := make(ModelMapping, len(functions))
-	for i, f := range functions {
-		mm[f] = modelNames[i%len(modelNames)]
-	}
-	return mm, nil
-}
-
 // BuildRequests expands a trace into a time-ordered request stream.
 // Within each minute, invocations of the different functions are shuffled
 // uniformly and assigned arrival offsets spread evenly across the minute,
@@ -367,8 +268,9 @@ func EvenSizeMapping(functions []string, modelNames []string) (ModelMapping, err
 // functions while maintaining the normalized total invocations per minute".
 // The rng makes the workload reproducible. It is the materialized form of
 // Stream — workloads too large to hold in memory pull batches from an
-// ArrivalStream instead (TestStreamMatchesBuildRequests pins that the
-// sequences are identical).
+// ArrivalStream instead — and expands each minute with the stream's own
+// appendMinute, straight into the result slice
+// (TestStreamMatchesBuildRequests pins that the sequences are identical).
 func (t *Trace) BuildRequests(mapping ModelMapping, batch int, rng *rand.Rand) ([]Request, error) {
 	s, err := t.Stream(mapping, batch, rng, 0)
 	if err != nil {
@@ -378,13 +280,10 @@ func (t *Trace) BuildRequests(mapping ModelMapping, batch int, rng *rand.Rand) (
 	if s.Total() > 0 {
 		reqs = make([]Request, 0, s.Total())
 	}
-	for {
-		b, ok := s.Next()
-		if !ok {
-			return reqs, nil
-		}
-		reqs = append(reqs, b...)
+	for s.minute < t.Minutes {
+		reqs = s.appendMinute(reqs)
 	}
+	return reqs, nil
 }
 
 // Shape kinds accepted by Shape.Kind.
@@ -485,7 +384,7 @@ func (s Shape) Factor(m int) float64 {
 }
 
 // Budgets expands the shape into per-minute request budgets around the
-// mean rpm, for RedistributeMinutesBudgets. Every minute gets at least
+// mean rpm, for Redistribute. Every minute gets at least
 // one request so arrival streams never go fully silent.
 func (s Shape) Budgets(minutes, rpm int) ([]int, error) {
 	if minutes <= 0 || rpm <= 0 {
@@ -527,25 +426,20 @@ type SynthConfig struct {
 	Shape Shape
 }
 
-// DefaultSynthConfig mirrors the published Azure trace statistics scaled
-// to the paper's 6-minute evaluation window.
-func DefaultSynthConfig() SynthConfig {
-	return SynthConfig{
-		Functions:            46413,
-		Minutes:              6,
-		InvocationsPerMinute: 40000,
-		TopShare:             0.56,
-		TopCount:             15,
-		Seed:                 1,
-	}
+// synthesizer is a validated SynthConfig ready to draw from: its
+// normalized shape and one popularity weight per function.
+type synthesizer struct {
+	cfg     SynthConfig
+	shape   Shape
+	weights []float64
 }
 
-// Synthesize builds a trace matching cfg: a Zipf-like popularity curve over
-// the hot set scaled so it receives exactly TopShare of the mass, with the
-// remainder spread across the long tail so that each tail function stays
-// under 0.01% of per-minute invocations, as the paper describes. Counts
-// vary Poisson-like across minutes.
-func Synthesize(cfg SynthConfig) (*Trace, error) {
+// newSynthesizer validates cfg and derives its popularity weights: a
+// Zipf-like curve over the hot set scaled so it receives exactly TopShare
+// of the mass, with the remainder spread across the long tail so that each
+// tail function stays under 0.01% of per-minute invocations, as the paper
+// describes.
+func newSynthesizer(cfg SynthConfig) (*synthesizer, error) {
 	if cfg.Functions <= 0 || cfg.Minutes <= 0 || cfg.InvocationsPerMinute <= 0 {
 		return nil, fmt.Errorf("trace: invalid synth config %+v", cfg)
 	}
@@ -555,11 +449,12 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 	if cfg.TopShare <= 0 || cfg.TopShare >= 1 {
 		return nil, fmt.Errorf("trace: TopShare must be in (0,1), got %g", cfg.TopShare)
 	}
+	// The shape is normalized over the whole trace, however few minutes
+	// are drawn: a diurnal period defaults to cfg.Minutes.
 	shape, err := cfg.Shape.normalized(cfg.Minutes)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Popularity weights: Zipf(s=1) within the hot set, scaled to
 	// TopShare; uniform-ish tail with mild Zipf decay for the rest.
@@ -593,53 +488,108 @@ func Synthesize(cfg SynthConfig) (*Trace, error) {
 			weights[i] /= cfg.TopShare
 		}
 	}
+	return &synthesizer{cfg: cfg, shape: shape, weights: weights}, nil
+}
 
+// draw makes the synthesizer's Poisson draws for minutes [0, minutes) and
+// hands each to put(i, m, count). The order is minute-major,
+// function-minor: the draw order is part of the seed's meaning. A draw's
+// threshold exp(-mean) is recomputed for every function only when a
+// minute's shape factor differs from the previous minute's — once per
+// trace for a flat shape, at each edge of a burst, every minute of a
+// diurnal curve — and each draw sees the same float64 mean, so the same
+// threshold, as if it computed its own.
+func (s *synthesizer) draw(minutes int, put func(i, m, count int)) {
+	rng := rand.New(rand.NewSource(s.cfg.Seed))
+	rpm := float64(s.cfg.InvocationsPerMinute)
+	limits := make([]float64, len(s.weights))
+	factor := math.NaN() // equal to no factor: minute 0 fills limits
+	for m := 0; m < minutes; m++ {
+		if f := s.shape.Factor(m); f != factor {
+			factor = f
+			for i, w := range s.weights {
+				mean := w * rpm * factor
+				limits[i] = math.Exp(-mean)
+			}
+		}
+		for i, w := range s.weights {
+			mean := w * rpm * factor
+			put(i, m, poisson(rng, mean, limits[i]))
+		}
+	}
+}
+
+// Synthesize builds a trace matching cfg: the popularity curve
+// newSynthesizer describes, with counts varying Poisson-like across
+// minutes.
+func Synthesize(cfg SynthConfig) (*Trace, error) {
+	s, err := newSynthesizer(cfg)
+	if err != nil {
+		return nil, err
+	}
 	t := &Trace{
-		Functions: synthNames(cfg.Functions),
+		Functions: synthNames(cfg.Functions, func(k int) int { return k }),
 		Counts:    newRows(cfg.Functions, cfg.Minutes),
 		Minutes:   cfg.Minutes,
 	}
-	// Minute-major, function-minor: the draw order is part of the seed's
-	// meaning.
-	for m := 0; m < cfg.Minutes; m++ {
-		factor := shape.Factor(m)
-		for i := 0; i < cfg.Functions; i++ {
-			mean := weights[i] * float64(cfg.InvocationsPerMinute) * factor
-			t.Counts[i][m] = poisson(rng, mean)
-		}
-	}
+	s.draw(cfg.Minutes, func(i, m, count int) { t.Counts[i][m] = count })
 	return t, nil
 }
 
-// synthNames returns the synthesizer's function names, "func-%05d" of the
-// row index, as substrings of one buffer: naming n functions costs the name
-// slice and the buffer, not a string per name. (Any one name therefore keeps
-// the whole buffer reachable — ten bytes per function.)
-func synthNames(n int) []string {
+// WorkingSet returns the paper's working set: the n functions of
+// Synthesize(cfg) with the most invocations over its first minutes
+// minutes, hottest first, equal totals in row order. minutes is clamped to
+// [0, cfg.Minutes] and n to [0, cfg.Functions], and an invalid cfg is
+// Synthesize's error. The names are exactly those of the staged pipeline —
+// truncate the synthesized trace to its first minutes, rank its rows by
+// total with a stable sort, keep the first n — and the seed's draws are
+// the same ones, but no count is stored: WorkingSet holds O(Functions)
+// totals and formats only the n names it returns, out of one buffer.
+func WorkingSet(cfg SynthConfig, minutes, n int) ([]string, error) {
+	s, err := newSynthesizer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	totals := make([]int64, cfg.Functions)
+	s.draw(min(max(minutes, 0), cfg.Minutes), func(i, _, count int) { totals[i] += int64(count) })
+	n = min(max(n, 0), cfg.Functions)
+	if n == 0 {
+		return nil, nil
+	}
+	top := topRanked(totals, n)
+	return synthNames(n, func(k int) int { return top[k].idx }), nil
+}
+
+// synthNames returns n synthesizer names, the k-th being "func-%05d" of
+// row(k), as substrings of one buffer: naming n functions costs the name
+// slice and the buffer, not a string per name. (Any one name therefore
+// keeps the whole buffer reachable — ten bytes per function.)
+func synthNames(n int, row func(k int) int) []string {
 	const prefix, width = "func-", 5
 	var b strings.Builder
 	b.Grow(n * (len(prefix) + width)) // exact below 100,000 functions
 	names := make([]string, n)
 	var digits [20]byte
-	for i := range names {
+	for k := range names {
 		start := b.Len()
-		d := strconv.AppendInt(digits[:0], int64(i), 10)
+		d := strconv.AppendInt(digits[:0], int64(row(k)), 10)
 		b.WriteString(prefix)
-		for k := len(d); k < width; k++ {
+		for j := len(d); j < width; j++ {
 			b.WriteByte('0')
 		}
 		b.Write(d)
 		// String is a view of the bytes written so far, not a copy; should
 		// the buffer grow past the estimate, names cut earlier keep the
 		// old one alive and stay valid.
-		names[i] = b.String()[start:]
+		names[k] = b.String()[start:]
 	}
 	return names
 }
 
-// poisson draws a Poisson variate; for large means it falls back to a
-// normal approximation to stay O(1).
-func poisson(rng *rand.Rand, mean float64) int {
+// poisson draws a Poisson variate of the given mean; l is exp(-mean),
+// which the caller computes once per distinct mean. For large means it
+// falls back to a normal approximation to stay O(1).
+func poisson(rng *rand.Rand, mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -650,7 +600,6 @@ func poisson(rng *rand.Rand, mean float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
@@ -741,21 +690,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
-}
-
-// PaperWorkload builds the exact workload of §V-A1: synthesize (or accept)
-// an Azure-shaped trace, truncate to the first `minutes` minutes, restrict
-// to the top `workingSet` functions, normalize each minute to
-// `requestsPerMinute`, map onto the model names evenly by size, and expand
-// to a shuffled request stream.
-func PaperWorkload(t *Trace, minutes, workingSet, requestsPerMinute int, modelNames []string, batch int, seed int64) ([]Request, error) {
-	if workingSet <= 0 {
-		return nil, fmt.Errorf("trace: non-positive working set %d", workingSet)
-	}
-	w := t.FirstMinutes(minutes).TopN(workingSet).NormalizeMinutes(requestsPerMinute)
-	mapping, err := EvenSizeMapping(w.Functions, modelNames)
-	if err != nil {
-		return nil, err
-	}
-	return w.BuildRequests(mapping, batch, rand.New(rand.NewSource(seed)))
 }

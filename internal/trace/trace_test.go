@@ -4,23 +4,26 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
+// smallCfg is a 500-function, 6-minute trace with the paper's shape.
+var smallCfg = SynthConfig{
+	Functions:            500,
+	Minutes:              6,
+	InvocationsPerMinute: 5000,
+	TopShare:             0.56,
+	TopCount:             15,
+	Seed:                 7,
+}
+
 func synthSmall(t *testing.T) *Trace {
 	t.Helper()
-	cfg := SynthConfig{
-		Functions:            500,
-		Minutes:              6,
-		InvocationsPerMinute: 5000,
-		TopShare:             0.56,
-		TopCount:             15,
-		Seed:                 7,
-	}
-	tr, err := Synthesize(cfg)
+	tr, err := Synthesize(smallCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +98,13 @@ func TestSynthesizeConfigErrors(t *testing.T) {
 		{Functions: 10, Minutes: 1, InvocationsPerMinute: 1, TopCount: 5, TopShare: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := Synthesize(cfg); err == nil {
+		_, err := Synthesize(cfg)
+		if err == nil {
 			t.Errorf("config %d should fail: %+v", i, cfg)
+			continue
+		}
+		if _, wsErr := WorkingSet(cfg, 1, 1); wsErr == nil || wsErr.Error() != err.Error() {
+			t.Errorf("config %d: WorkingSet error %v, want Synthesize's %v", i, wsErr, err)
 		}
 	}
 }
@@ -111,117 +119,64 @@ func TestSynthesizeNoTail(t *testing.T) {
 	}
 }
 
+// rowOf is the synthesizer row a "func-%05d" name was made for.
+func rowOf(t *testing.T, name string) int {
+	t.Helper()
+	i, err := strconv.Atoi(strings.TrimPrefix(name, "func-"))
+	if err != nil {
+		t.Fatalf("%q is not a synthesizer name", name)
+	}
+	return i
+}
+
+// minuteTotals sums each row of tr over its first m minutes.
+func minuteTotals(tr *Trace, m int) []int64 {
+	out := make([]int64, len(tr.Counts))
+	for i, row := range tr.Counts {
+		for _, c := range row[:m] {
+			out[i] += int64(c)
+		}
+	}
+	return out
+}
+
 func TestTopN(t *testing.T) {
-	tr := synthSmall(t)
-	top := tr.TopN(15)
-	if len(top.Functions) != 15 {
-		t.Fatalf("TopN kept %d", len(top.Functions))
-	}
-	totals := top.FunctionTotals()
-	for i := 1; i < len(totals); i++ {
-		if totals[i] > totals[i-1] {
-			t.Fatal("TopN not sorted by popularity")
-		}
-	}
-	// Requesting more than available returns everything.
-	if got := tr.TopN(10_000); len(got.Functions) != 500 {
-		t.Errorf("overlarge TopN kept %d", len(got.Functions))
-	}
-}
-
-func TestFirstMinutes(t *testing.T) {
-	tr := synthSmall(t)
-	f := tr.FirstMinutes(2)
-	if f.Minutes != 2 {
-		t.Fatalf("Minutes = %d", f.Minutes)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.FirstMinutes(99); got.Minutes != 6 {
-		t.Errorf("clamped FirstMinutes = %d", got.Minutes)
-	}
-}
-
-func TestNormalizeMinutesExactBudget(t *testing.T) {
-	tr := synthSmall(t).TopN(25)
-	n := tr.NormalizeMinutes(325)
-	for m := 0; m < n.Minutes; m++ {
-		sum := 0
-		for i := range n.Counts {
-			sum += n.Counts[i][m]
-		}
-		if sum != 325 {
-			t.Errorf("minute %d sums to %d, want 325", m, sum)
-		}
-	}
-	// Shares approximately preserved for the hottest function.
-	beforeTotals := tr.FunctionTotals()
-	afterTotals := n.FunctionTotals()
-	before := float64(beforeTotals[0]) / float64(tr.TotalInvocations())
-	after := float64(afterTotals[0]) / float64(n.TotalInvocations())
-	if math.Abs(before-after) > 0.03 {
-		t.Errorf("hot share drifted: %.3f -> %.3f", before, after)
-	}
-}
-
-func TestNormalizeEmptyMinute(t *testing.T) {
-	tr := &Trace{
-		Functions: []string{"a", "b"},
-		Counts:    [][]int{{0, 3}, {0, 1}},
-		Minutes:   2,
-	}
-	n := tr.NormalizeMinutes(100)
-	if n.Counts[0][0] != 0 || n.Counts[1][0] != 0 {
-		t.Error("empty minute should stay empty")
-	}
-	if n.Counts[0][1]+n.Counts[1][1] != 100 {
-		t.Error("non-empty minute should sum to budget")
-	}
-}
-
-// Property: normalization hits the budget exactly for any column.
-func TestNormalizeBudgetProperty(t *testing.T) {
-	f := func(counts []uint8, budget uint8) bool {
-		if len(counts) == 0 || budget == 0 {
-			return true
-		}
-		tr := &Trace{Minutes: 1}
-		anyPositive := false
-		for i, c := range counts {
-			tr.Functions = append(tr.Functions, string(rune('a'+i%26))+string(rune('0'+i%10)))
-			tr.Counts = append(tr.Counts, []int{int(c)})
-			if c > 0 {
-				anyPositive = true
-			}
-		}
-		n := tr.NormalizeMinutes(int(budget))
-		sum := 0
-		for i := range n.Counts {
-			sum += n.Counts[i][0]
-		}
-		if !anyPositive {
-			return sum == 0
-		}
-		return sum == int(budget)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEvenSizeMapping(t *testing.T) {
-	fns := []string{"f0", "f1", "f2", "f3", "f4"}
-	models := []string{"m0", "m1", "m2"}
-	mm, err := EvenSizeMapping(fns, models)
+	totals := synthSmall(t).FunctionTotals()
+	top, err := WorkingSet(smallCfg, 6, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mm["f0"] != "m0" || mm["f3"] != "m0" || mm["f4"] != "m1" {
-		t.Errorf("mapping = %v", mm)
+	if len(top) != 15 {
+		t.Fatalf("WorkingSet kept %d", len(top))
 	}
-	if _, err := EvenSizeMapping(fns, nil); err == nil {
-		t.Error("want error with no models")
+	for i := 1; i < len(top); i++ {
+		if totals[rowOf(t, top[i])] > totals[rowOf(t, top[i-1])] {
+			t.Fatal("WorkingSet not sorted by popularity")
+		}
+	}
+	// Requesting more than available returns everything.
+	if got, _ := WorkingSet(smallCfg, 6, 10_000); len(got) != 500 {
+		t.Errorf("overlarge WorkingSet kept %d", len(got))
+	}
+}
+
+// TestFirstMinutes pins that the working set ranks only the minutes it is
+// asked for, and that a longer window is clamped to the trace.
+func TestFirstMinutes(t *testing.T) {
+	totals := minuteTotals(synthSmall(t), 2)
+	all, err := WorkingSet(smallCfg, 2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(all); i++ {
+		if totals[rowOf(t, all[i])] > totals[rowOf(t, all[i-1])] {
+			t.Fatalf("rank %d: WorkingSet over 2 minutes not sorted by the 2-minute totals", i)
+		}
+	}
+	clamped, _ := WorkingSet(smallCfg, 99, 35)
+	whole, _ := WorkingSet(smallCfg, 6, 35)
+	if !reflect.DeepEqual(clamped, whole) {
+		t.Errorf("WorkingSet over 99 minutes = %v, want the 6-minute %v", clamped, whole)
 	}
 }
 
@@ -270,7 +225,7 @@ func TestBuildRequestsErrors(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	tr := synthSmall(t).TopN(20)
+	tr := refTopN(synthSmall(t), 20)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -324,13 +279,29 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
-func TestPaperWorkload(t *testing.T) {
-	tr := synthSmall(t)
-	names := []string{"m0", "m1", "m2", "m3", "m4"}
-	reqs, err := PaperWorkload(tr, 6, 25, 325, names, 32, 11)
+// paperWorkload runs the §V-A1 construction as experiments does — working
+// set, flat redistribution, expansion — over smallCfg, with functions
+// dealt round-robin onto models.
+func paperWorkload(t *testing.T, minutes, workingSet, rpm int, models []string, seed int64) []Request {
+	t.Helper()
+	fns, err := WorkingSet(smallCfg, minutes, workingSet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	budgets, err := (Shape{}).Budgets(minutes, rpm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Redistribute(fns, budgets, WorkloadZipfS)
+	reqs, err := w.BuildRequests(roundRobinMapping(fns, models), 32, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+func TestPaperWorkload(t *testing.T) {
+	reqs := paperWorkload(t, 6, 25, 325, []string{"m0", "m1", "m2", "m3", "m4"}, 11)
 	if len(reqs) != 6*325 {
 		t.Fatalf("got %d requests, want %d", len(reqs), 6*325)
 	}
@@ -352,22 +323,12 @@ func TestPaperWorkload(t *testing.T) {
 	if len(fns) > 25 {
 		t.Errorf("working set = %d, want <= 25", len(fns))
 	}
-	if _, err := PaperWorkload(tr, 6, 0, 325, names, 32, 1); err == nil {
-		t.Error("want error for zero working set")
-	}
 }
 
 func TestPaperWorkloadDeterministic(t *testing.T) {
-	tr := synthSmall(t)
 	names := []string{"m0", "m1"}
-	a, err := PaperWorkload(tr, 3, 15, 100, names, 32, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PaperWorkload(tr, 3, 15, 100, names, 32, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := paperWorkload(t, 3, 15, 100, names, 42)
+	b := paperWorkload(t, 3, 15, 100, names, 42)
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
